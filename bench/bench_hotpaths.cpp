@@ -26,6 +26,7 @@
 //    steady-state deltas must be noise and bytes_charged_steady_state 0.
 #include <atomic>
 #include <cinttypes>
+#include <cmath>
 #include <filesystem>
 #include <thread>
 #include <cstdio>
@@ -275,6 +276,28 @@ int main(int argc, char** argv) {
     std::printf("dct2d_%zu: %.1f ns/op, %.2f allocs/op\n", n, row.nsPerOp,
                 row.allocsPerOp);
   }
+  // Sec. IV's complexity claim: a 2-D transform over B = N^2 bins costs
+  // O(B log B). Least-squares fit ns/op = c * B log2 B over the sweep and
+  // report the RMS residual relative to the mean ns/op.
+  auto sweepModel = [](std::size_t n) {
+    const double bins = static_cast<double>(n * n);
+    return bins * std::log2(bins);
+  };
+  double fitNum = 0.0, fitDen = 0.0, sweepMeanNs = 0.0;
+  for (const auto& r : sweepRows) {
+    fitNum += r.nsPerOp * sweepModel(r.n);
+    fitDen += sweepModel(r.n) * sweepModel(r.n);
+    sweepMeanNs += r.nsPerOp / static_cast<double>(sweepRows.size());
+  }
+  const double sweepFitNs = fitNum / fitDen;
+  double fitSq = 0.0;
+  for (const auto& r : sweepRows) {
+    const double d = r.nsPerOp - sweepFitNs * sweepModel(r.n);
+    fitSq += d * d / static_cast<double>(sweepRows.size());
+  }
+  const double sweepFitRms = std::sqrt(fitSq) / sweepMeanNs;
+  std::printf("dct2d fit: %.3f ns * N^2 log2(N^2), RMS %.1f%% of mean\n",
+              sweepFitNs, 100.0 * sweepFitRms);
 
   // --- budget overhead: the same hot kernels with governance armed ----------
   // MemoryBudget charges happen only on arena growth (one relaxed atomic
@@ -581,6 +604,11 @@ int main(int argc, char** argv) {
       arr.push(std::move(row));
     }
     root.set("transform_sweep", std::move(arr));
+    JsonValue fit = JsonValue::object();
+    fit.set("model", JsonValue::str("c*N^2*log2(N^2)"));
+    fit.set("coefficient_ns", JsonValue::number(sweepFitNs));
+    fit.set("rms", JsonValue::number(sweepFitRms));
+    root.set("transform_sweep_fit", std::move(fit));
   }
   {
     JsonValue arr = JsonValue::array();

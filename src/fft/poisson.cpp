@@ -1,6 +1,7 @@
 #include "fft/poisson.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numbers>
 
@@ -17,7 +18,7 @@ PoissonSolver::PoissonSolver(std::size_t nx, std::size_t ny, double dx,
       planY_(ny, arena, faults),
       wx_(nx),
       wy_(ny) {
-  assert(isPowerOfTwo(nx) && isPowerOfTwo(ny));
+  assert(std::has_single_bit(nx) && std::has_single_bit(ny));
   const double widthX = static_cast<double>(nx) * dx;
   const double widthY = static_cast<double>(ny) * dy;
   for (std::size_t u = 0; u < nx; ++u) {

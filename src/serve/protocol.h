@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/jsonlite.h"
+#include "util/jsonlite.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
 
