@@ -155,13 +155,17 @@ QuadraticPlaceResult quadraticPlace(PlacementDB& db,
     }
   };
 
+  CooBuilder builder(n);
+  Csr A;
+  std::vector<double> rhs(static_cast<std::size_t>(n));
+  CgWorkspace ws;
   for (int iter = 0; iter < cfg.maxIterations; ++iter) {
     res.iterations = iter + 1;
     for (Axis axis : {Axis::kX, Axis::kY}) {
       auto& pos = axis == Axis::kX ? x : y;
       auto& anchors = axis == Axis::kX ? tx : ty;
-      CooBuilder builder(n);
-      std::vector<double> rhs(static_cast<std::size_t>(n), 0.0);
+      builder.clear();
+      std::fill(rhs.begin(), rhs.end(), 0.0);
       buildB2B(db, axis, objToVar, pos, builder, rhs);
       if (!anchors.empty()) {
         for (std::int32_t v = 0; v < n; ++v) {
@@ -183,8 +187,8 @@ QuadraticPlaceResult quadraticPlace(PlacementDB& db,
               1e-6 * (axis == Axis::kX ? c.x : c.y);
         }
       }
-      const Csr A = builder.build();
-      cgSolve(A, rhs, pos, cfg.cgMaxIterations, 1e-6);
+      builder.buildInto(A);
+      cgSolve(A, rhs, pos, cfg.cgMaxIterations, 1e-6, &rc.pool(), &ws);
     }
     writeBack();
 

@@ -163,9 +163,12 @@ StatusOr<FlowResult> runEplaceFlowChecked(PlacementDB& db,
   if (!v.ok()) return v;
   // Exception boundary: a throwing hot-path task (e.g. a worker on the
   // thread pool, see ThreadPool) surfaces here as a typed status instead of
-  // std::terminate-ing the process.
+  // std::terminate-ing the process; a memory-budget breach (mIP's charge,
+  // arena growth) as kResourceExhausted, like the supervised flow.
   try {
     return runEplaceFlow(db, cfg, ctx);
+  } catch (const MemoryBudgetExceeded& e) {
+    return Status::resourceExhausted(e.what());
   } catch (const std::exception& e) {
     return Status::internal(std::string("flow aborted by exception: ") +
                             e.what());

@@ -77,18 +77,11 @@ StatusOr<FlowResult> PlacerSession::place() {
         std::to_string(db_.view().footprintBytes()) + " B)");
   }
   report_ = SupervisorReport{};
-  StatusOr<FlowResult> run = [&]() -> StatusOr<FlowResult> {
-    try {
-      return opt_.supervised
-                 ? runSupervisedFlow(db_, opt_.flow, opt_.sup, &report_, &ctx_)
-                 : runEplaceFlowChecked(db_, opt_.flow, &ctx_);
-    } catch (const MemoryBudgetExceeded& e) {
-      // The supervised path converts breaches itself (with degradation
-      // first); this is the unsupervised flow's backstop — typed, never
-      // an abort.
-      return Status::resourceExhausted(e.what());
-    }
-  }();
+  // Both flows convert budget breaches to kResourceExhausted themselves.
+  StatusOr<FlowResult> run =
+      opt_.supervised
+          ? runSupervisedFlow(db_, opt_.flow, opt_.sup, &report_, &ctx_)
+          : runEplaceFlowChecked(db_, opt_.flow, &ctx_);
   if (run.ok()) {
     result_ = *run;
     record_ = buildRunRecord(db_, result_,

@@ -3,6 +3,8 @@
 // high-overlap seed v_mIP that mGP starts from.
 #pragma once
 
+#include <cstddef>
+
 #include "model/netlist.h"
 
 namespace ep {
@@ -28,9 +30,19 @@ struct InitialPlaceResult {
   int totalCgIterations = 0;
 };
 
+/// Bytes mIP holds while it runs, an upper bound sized from the netlist's
+/// pin count: the B2B emissions and the CSR assembled from them, the CG
+/// workspace, the position and right-hand-side vectors, and the variable
+/// map. quadraticInitialPlace charges exactly this to the context's
+/// MemoryBudget before allocating any of it.
+std::size_t mipWorkspaceBytes(const PlacementDB& db);
+
 /// Runs mIP: seeds every movable at the region center (with jitter), then
-/// alternates B2B model construction and CG solves per axis. Updates object
-/// positions in `db` (centers clamped into the region).
+/// alternates B2B model construction and CG solves per axis, the CG on the
+/// context's pool (bit-identical for any thread count). Updates object
+/// positions in `db` (centers clamped into the region). Throws
+/// MemoryBudgetExceeded when the context's budget cannot hold
+/// mipWorkspaceBytes(db); pool task exceptions propagate.
 InitialPlaceResult quadraticInitialPlace(PlacementDB& db,
                                          const InitialPlaceConfig& cfg = {},
                                          RuntimeContext* ctx = nullptr);

@@ -36,10 +36,28 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
     return res;
   }
 
+  // Rounds are heuristic and can overshoot: keep the (legal) positions
+  // with the lowest hotspot seen, the input included, so refinement never
+  // makes congestion worse.
+  std::vector<std::pair<double, double>> best;
+  double bestHotspot = res.hotspotBefore;
+  auto savePositions = [&] {
+    best.clear();
+    for (auto i : db.movable()) {
+      const auto& o = db.objects[static_cast<std::size_t>(i)];
+      best.emplace_back(o.lx, o.ly);
+    }
+  };
+  savePositions();
+
   double prevScore = res.hotspotBefore;
   for (int round = 0; round < cfg.maxRounds; ++round) {
     const CongestionMap rudy = estimateRudy(db);
     if (round > 0) {
+      if (rudy.hotspot < bestHotspot) {
+        bestHotspot = rudy.hotspot;
+        savePositions();
+      }
       const double improvement = (prevScore - rudy.hotspot) / prevScore;
       if (improvement < cfg.minImprovement) break;
       prevScore = rudy.hotspot;
@@ -91,7 +109,17 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
     ++res.rounds;
   }
 
-  const CongestionMap m1 = estimateRudy(db);
+  CongestionMap m1 = estimateRudy(db);
+  if (m1.hotspot > bestHotspot) {
+    std::size_t k = 0;
+    for (auto i : db.movable()) {
+      auto& o = db.objects[static_cast<std::size_t>(i)];
+      o.lx = best[k].first;
+      o.ly = best[k].second;
+      ++k;
+    }
+    m1 = estimateRudy(db);
+  }
   res.hotspotAfter = m1.hotspot;
   res.peakAfter = m1.peak;
   res.hpwlAfter = hpwl(db);

@@ -114,5 +114,25 @@ TEST_F(Determinism, OddThreadCountMatchesToo) {
   expectBitIdentical(serial.positions, three.positions);
 }
 
+TEST_F(Determinism, MipBitIdenticalAcrossThreadCounts) {
+  // mIP alone: CSR assembly plus 16 pooled CG solves. 6000 movables span
+  // six 1024-element reduction blocks, enough for the pool to dispatch;
+  // 3 threads split them unevenly, 4 threads leave partitions of one.
+  std::vector<double> reference;
+  int referenceIters = 0;
+  for (int threads : {1, 2, 3, 4}) {
+    RuntimeContext ctx(threads);
+    PlacementDB db = circuit(15, 6000);
+    const InitialPlaceResult ip = quadraticInitialPlace(db, {}, &ctx);
+    if (threads == 1) {
+      reference = movablePositions(db);
+      referenceIters = ip.totalCgIterations;
+      continue;
+    }
+    EXPECT_EQ(ip.totalCgIterations, referenceIters) << threads << " threads";
+    expectBitIdentical(reference, movablePositions(db));
+  }
+}
+
 }  // namespace
 }  // namespace ep

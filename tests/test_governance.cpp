@@ -33,6 +33,7 @@
 #include "eplace/session.h"
 #include "eplace/supervisor.h"
 #include "gen/generator.h"
+#include "qp/initial_place.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/journal.h"
@@ -263,6 +264,35 @@ TEST(Governance, UndersizedSessionBudgetFailsTypedBeforePlacing) {
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted)
       << res.status().toString();
+}
+
+TEST(Governance, BudgetBelowMipNeedFailsTypedInMip) {
+  // mIP charges its whole workspace (B2B emissions, CSR, CG vectors) before
+  // allocating it. A budget that holds the placement view but not view +
+  // mIP (their sum rounded down to whole MiB) must fail typed, in mIP, for
+  // both flows.
+  const PlacementDB input = genDb(20000);
+  const std::size_t view = PlacementDB(input).view().footprintBytes();
+  const std::size_t mip = mipWorkspaceBytes(input);
+  const std::size_t budgetMb = (view + mip) / (1u << 20);
+  ASSERT_GE(budgetMb << 20, view) << "budget must admit the view";
+  ASSERT_LT(budgetMb << 20, view + mip);
+  for (const bool supervised : {true, false}) {
+    SessionOptions so = soloOptions(budgetMb);
+    so.supervised = supervised;
+    PlacerSession session(so);
+    ASSERT_TRUE(session.adopt(input).ok());
+    const auto res = session.place();
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted)
+        << res.status().toString();
+    EXPECT_NE(res.status().message().find("requested " + std::to_string(mip)),
+              std::string::npos)
+        << "breach did not come from mIP's charge: "
+        << res.status().toString();
+    EXPECT_EQ(session.context().memory().usedBytes(), 0u)
+        << "a rejected or finished charge leaked";
+  }
 }
 
 TEST(Governance, BudgetedRunBitIdenticalToUnbudgetedAndReportsPeak) {

@@ -9,6 +9,7 @@
 #include "bookshelf/bookshelf.h"
 #include "eplace/flow.h"
 #include "eplace/global_placer.h"
+#include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "gen/generator.h"
 #include "legal/legalize.h"
@@ -383,6 +384,35 @@ TEST(Robustness, PoolTaskFaultOnOneThreadStillTyped) {
       runEplaceFlowChecked(db, FlowConfig{}, &ctx);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInternal);
+}
+
+TEST(Robustness, PoolTaskFaultInsideMipIsTypedForBothFlows) {
+  // Tick 0 is the first pool region of the run, which is mIP's first CG
+  // reduction. 3000 movables make it dispatch, so the throw comes from a
+  // worker thread. Both flow boundaries must return kInternal, and no
+  // stage may have written positions (mIP writes back only at its end).
+  GenSpec spec;
+  spec.name = "pooltaskmip";
+  spec.numCells = 3000;
+  spec.seed = 7;
+  const PlacementDB input = generateCircuit(spec);
+  for (const bool supervised : {false, true}) {
+    RuntimeContext ctx(4);
+    ctx.faults().arm("parallel.task", {FaultKind::kNaN, /*atTick=*/0, 1});
+    PlacementDB db = input;
+    const StatusOr<FlowResult> res =
+        supervised ? runSupervisedFlow(db, FlowConfig{}, {}, nullptr, &ctx)
+                   : runEplaceFlowChecked(db, FlowConfig{}, &ctx);
+    ASSERT_FALSE(res.ok()) << "supervised=" << supervised;
+    EXPECT_EQ(res.status().code(), StatusCode::kInternal)
+        << res.status().toString();
+    EXPECT_NE(res.status().message().find("parallel.task"), std::string::npos)
+        << res.status().toString();
+    for (std::size_t i = 0; i < db.objects.size(); ++i) {
+      ASSERT_EQ(db.objects[i].lx, input.objects[i].lx) << "object " << i;
+      ASSERT_EQ(db.objects[i].ly, input.objects[i].ly) << "object " << i;
+    }
+  }
 }
 
 }  // namespace
