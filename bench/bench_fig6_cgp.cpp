@@ -34,7 +34,7 @@ int main() {
   GpConfig cfg;
   const int m = std::max(1, mgpRes.iterations / 10);
   cfg.initialLambda =
-      mgpRes.finalLambda * std::pow(cfg.lambdaMultMax, -static_cast<double>(m));
+      mgpRes.finalLambda * std::pow(kLambdaMultMax, -static_cast<double>(m));
   GlobalPlacer cgp(db, db.movable(), cfg);
   cgp.setFillers(fillers);
   cgp.runFillerOnly(20);

@@ -17,13 +17,17 @@
 //     --resume <dir>         resume from the newest valid snapshot in <dir>
 //                            (implies --supervised)
 //     --stage-budget <sec>   per-stage wall budget for the supervisor
-//     --stage-attempts <n>   per-stage retry cap for the supervisor
+//     --stage-attempts <n>   per-stage retry cap for the supervisor (both
+//                            apply to mGP, mLG, cGP and cDP; mIP runs once,
+//                            unbudgeted and never retried)
 //     --multilevel           multilevel V-cycle mGP for large designs
 //                            (implies --supervised; docs/SCALING.md)
 //     --ml-min-movable <n>   movable-count threshold to engage the ladder
 //     --inject <site=kind@tick[xN]>  arm the fault injector, e.g.
 //                            nesterov.grad=nan@40, fft.forward=spike@3,
-//                            bookshelf.line=trunc@10x-1 (N=-1: every pass)
+//                            bookshelf.line=trunc@10x-1 (N=-1: every pass);
+//                            an unknown site or kind, a non-numeric tick or
+//                            an N that is 0 or below -1 is a usage error
 //     --threads <n>          worker threads for the hot kernels (default:
 //                            hardware concurrency; results are bit-identical
 //                            for any n, see docs/PERFORMANCE.md)
@@ -73,38 +77,6 @@ namespace {
 // The process exit code is the shared taxonomy mapping (ep::statusExitCode);
 // 6 is reserved by this CLI for "placed but not legal".
 int exitCodeFor(ep::StatusCode code) { return ep::statusExitCode(code); }
-
-/// Parses "site=kind@tick" or "site=kind@tickxCount"; armed on the run
-/// context once it exists (after --threads / --log-level are known).
-bool parseInjection(const std::string& arg, std::string* site,
-                    ep::FaultSpec* spec) {
-  const auto eq = arg.find('=');
-  const auto at = arg.find('@');
-  if (eq == std::string::npos || at == std::string::npos || at < eq) {
-    return false;
-  }
-  *site = arg.substr(0, eq);
-  const std::string kind = arg.substr(eq + 1, at - eq - 1);
-  std::string tickStr = arg.substr(at + 1);
-  if (kind == "nan") {
-    spec->kind = ep::FaultKind::kNaN;
-  } else if (kind == "spike") {
-    spec->kind = ep::FaultKind::kSpike;
-  } else if (kind == "trunc") {
-    spec->kind = ep::FaultKind::kTruncate;
-  } else if (kind == "error") {
-    spec->kind = ep::FaultKind::kError;
-  } else {
-    return false;
-  }
-  const auto x = tickStr.find('x');
-  if (x != std::string::npos) {
-    spec->count = std::atoi(tickStr.c_str() + x + 1);
-    tickStr.resize(x);
-  }
-  spec->atTick = std::atol(tickStr.c_str());
-  return true;
-}
 
 /// Reads a batch manifest: one .aux path per line, blank lines and
 /// #-comments skipped.
@@ -212,7 +184,6 @@ int main(int argc, char** argv) {
       supervised = true;
     } else if (a == "--stage-budget" && i + 1 < argc) {
       const double budget = std::atof(argv[++i]);
-      sup.mip.timeBudgetSeconds = budget;
       sup.mgp.timeBudgetSeconds = budget;
       sup.mlg.timeBudgetSeconds = budget;
       sup.cgp.timeBudgetSeconds = budget;
@@ -242,8 +213,11 @@ int main(int argc, char** argv) {
     } else if (a == "--inject" && i + 1 < argc) {
       std::string site;
       ep::FaultSpec spec;
-      if (!parseInjection(argv[++i], &site, &spec)) {
-        std::fprintf(stderr, "bad --inject spec %s\n", argv[i]);
+      const ep::Status parsed =
+          ep::parseFaultInjection(argv[++i], &site, &spec);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "bad --inject spec %s: %s\n", argv[i],
+                     parsed.message().c_str());
         return 1;
       }
       injections.emplace_back(std::move(site), spec);

@@ -21,6 +21,11 @@ StageMetrics flowStageMetrics(const PlacementDB& db, double seconds,
 
 namespace {
 
+/// Filler-only iterations before cGP (Sec. VI-B).
+constexpr int kFillerOnlyIterations = 20;
+/// cGP rewinds lambda by 1.1^-m with m = mGP iterations / 10 (Sec. VI-B).
+constexpr int kCgpBufferDivisor = 10;
+
 StageMetrics stageSnapshot(const PlacementDB& db, double seconds, int iters) {
   return flowStageMetrics(db, seconds, iters);
 }
@@ -29,7 +34,7 @@ StageMetrics stageSnapshot(const PlacementDB& db, double seconds, int iters) {
 
 void flowStageMip(PlacementDB& db, FlowState& st) {
   Timer t;
-  const auto ip = quadraticInitialPlace(db, st.cfg.ip, st.ctx);
+  quadraticInitialPlace(db, st.cfg.ip, st.ctx);
   st.res.stageSeconds.add("mIP", t.seconds());
   st.res.mip = stageSnapshot(db, t.seconds(), st.cfg.ip.outerIterations);
 }
@@ -79,14 +84,13 @@ void flowFreezeMacros(PlacementDB& db) {
 void flowStageCgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
   Timer t;
   GpConfig gpc = st.cfg.gp;
-  const int m = std::max(1, st.res.mgpResult.iterations /
-                                std::max(1, st.cfg.cgpBufferDivisor));
+  const int m = std::max(1, st.res.mgpResult.iterations / kCgpBufferDivisor);
   gpc.initialLambda = st.res.mgpResult.finalLambda *
-                      std::pow(gpc.lambdaMultMax, -static_cast<double>(m));
+                      std::pow(kLambdaMultMax, -static_cast<double>(m));
   GlobalPlacer cgp(db, db.movable(), gpc, st.ctx);
   cgp.setFillers(st.fillers);
   if (st.cfg.enableFillerOnly && ctl.resume == nullptr) {
-    cgp.runFillerOnly(st.cfg.fillerOnlyIterations);
+    cgp.runFillerOnly(kFillerOnlyIterations);
   }
   GlobalPlacer::TraceFn trace;
   if (st.cfg.gpTrace) {

@@ -16,6 +16,13 @@ namespace ep {
 
 namespace {
 
+/// Lower bound of the lambda multiplier mu (kLambdaMultMax is the upper).
+constexpr double kLambdaMultMin = 0.95;
+/// HPWL delta, relative to the stage-start HPWL, that maps to mu = 1.0.
+constexpr double kRefHpwlDeltaFrac = 1e-2;
+/// Steplength multiplier applied on rollback (cool restart).
+constexpr double kRollbackAlphaScale = 0.1;
+
 /// Grid resolution per config / auto rule.
 std::size_t gridDim(std::size_t cfgDim, std::size_t numObjects) {
   return cfgDim != 0 ? cfgDim : BinGrid::chooseResolution(numObjects);
@@ -222,6 +229,22 @@ struct GlobalPlacer::Engine {
     });
   }
 
+  /// The optimizer over [x..., y...]: this engine's gradient and
+  /// projection, GpConfig's ablation switches, and a bootstrap move of a
+  /// tenth of a bin.
+  NesterovOptimizer makeOptimizer() {
+    NesterovConfig ncfg;
+    ncfg.enableBacktracking = cfg.enableBacktracking;
+    ncfg.enableMomentum = cfg.enableMomentum;
+    ncfg.bootstrapMove = 0.1 * density.grid().dx();
+    return NesterovOptimizer(
+        2 * nVars,
+        [this](std::span<const double> v, std::span<double> g) {
+          return evalGrad(v, g);
+        },
+        ncfg, [this](std::span<double> v) { project(v); }, pool);
+  }
+
   /// Initial lambda: ratio of L1 gradient norms (wirelength over density)
   /// at the start point, per FFTPL/ePlace.
   double initialLambda(std::span<const double> v) {
@@ -325,16 +348,7 @@ void GlobalPlacer::runFillerOnly(int iterations) {
   eng.density.stampStaticCharges({cx, cy, cw, ch});
   eng.lambda = 1.0;  // density force only; wirelength plays no role
 
-  NesterovConfig ncfg = cfg_.nesterov;
-  ncfg.enableBacktracking = cfg_.enableBacktracking;
-  ncfg.enableMomentum = cfg_.enableMomentum;
-  ncfg.bootstrapMove = 0.1 * eng.density.grid().dx();
-  NesterovOptimizer opt(
-      2 * eng.nVars,
-      [&eng](std::span<const double> v, std::span<double> g) {
-        return eng.evalGrad(v, g);
-      },
-      ncfg, [&eng](std::span<double> v) { eng.project(v); }, &ctx_.pool());
+  NesterovOptimizer opt = eng.makeOptimizer();
   const auto v0 = eng.startVector(none);
   opt.initialize(v0);
   for (int k = 0; k < iterations && !ctx_.cancelled(); ++k) opt.step();
@@ -355,16 +369,7 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
   Engine eng(ctx_, db_, movables_, cfg_, fillers_, breakdown_);
   if (eng.nVars == 0) return result;
 
-  NesterovConfig ncfg = cfg_.nesterov;
-  ncfg.enableBacktracking = cfg_.enableBacktracking;
-  ncfg.enableMomentum = cfg_.enableMomentum;
-  ncfg.bootstrapMove = 0.1 * eng.density.grid().dx();
-  NesterovOptimizer opt(
-      2 * eng.nVars,
-      [&eng](std::span<const double> v, std::span<double> g) {
-        return eng.evalGrad(v, g);
-      },
-      ncfg, [&eng](std::span<double> v) { eng.project(v); }, &ctx_.pool());
+  NesterovOptimizer opt = eng.makeOptimizer();
 
   // The stage watchdog honors both the configured budget and the context's
   // session-wide wall-clock deadline, whichever expires first.
@@ -426,7 +431,7 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
     refHpwl = prevHpwl;
   }
   const double refDelta =
-      std::max(1e-12, cfg_.refHpwlDeltaFrac * std::max(refHpwl, 1.0));
+      std::max(1e-12, kRefHpwlDeltaFrac * std::max(refHpwl, 1.0));
 
   // Best-so-far checkpoint for rollback recovery. The start state is a
   // valid (if poor) fallback: its positions are finite by the scan above
@@ -516,7 +521,7 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
           healthEventName(ev), iter, curHpwl, tau, best.iter, recoveries,
           cfg_.health.maxRecoveries);
       opt.restore(best.snap);
-      opt.coolRestart(cfg_.health.alphaResetScale);
+      opt.coolRestart(kRollbackAlphaScale);
       eng.lambda = best.lambda;
       eng.updateGamma(best.tau);
       monitor.resetAfterRollback(best.hpwl, best.tau);
@@ -532,9 +537,9 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
       // degrades (RePlAce-style mu).
       const double dHpwl = curHpwl - prevHpwl;
       double mu = dHpwl < 0.0
-                      ? cfg_.lambdaMultMax
-                      : std::pow(cfg_.lambdaMultMax, 1.0 - dHpwl / refDelta);
-      mu = std::clamp(mu, cfg_.lambdaMultMin, cfg_.lambdaMultMax);
+                      ? kLambdaMultMax
+                      : std::pow(kLambdaMultMax, 1.0 - dHpwl / refDelta);
+      mu = std::clamp(mu, kLambdaMultMin, kLambdaMultMax);
       eng.lambda *= mu;
       prevHpwl = curHpwl;
     }

@@ -32,6 +32,10 @@ namespace ep {
 
 class RuntimeContext;
 
+/// Upper bound of the per-iteration lambda multiplier mu; cGP also rewinds
+/// mGP's final lambda by kLambdaMultMax^-m (Sec. VI-B).
+inline constexpr double kLambdaMultMax = 1.1;
+
 struct GpConfig {
   double targetOverflow = 0.10;  ///< mGP stop criterion (Sec. III)
   int maxIterations = 3000;      ///< paper's cap (Sec. V-D)
@@ -41,15 +45,9 @@ struct GpConfig {
   bool enablePreconditioner = true;  ///< Sec. V-D ablation switch
   bool enableBacktracking = true;    ///< Sec. V-C ablation switch
   bool enableMomentum = true;        ///< degrade to gradient descent
-  /// lambda multiplier bounds and the HPWL delta (relative to initial HPWL)
-  /// that maps to mu = 1.0.
-  double lambdaMultMax = 1.1;
-  double lambdaMultMin = 0.95;
-  double refHpwlDeltaFrac = 1e-2;
   /// Override the initial lambda (cGP uses lambda_mGP * 1.1^-m, Sec. VI-B).
   std::optional<double> initialLambda;
   std::uint64_t fillerSeed = 7;
-  NesterovConfig nesterov;
   /// Numerical health monitoring, checkpoint/rollback recovery and the
   /// per-stage wall-clock watchdog (docs/ROBUSTNESS.md).
   HealthConfig health;
@@ -94,7 +92,7 @@ struct GpCheckpointState {
   double lambda = 0.0;
   double tau = 0.0;       ///< overflow at the checkpoint (gamma schedule)
   double prevHpwl = 0.0;  ///< last HPWL sample (mu schedule)
-  double refHpwl = 0.0;   ///< stage-start HPWL anchoring refHpwlDeltaFrac
+  double refHpwl = 0.0;   ///< stage-start HPWL anchoring the mu schedule
   int iter = 0;           ///< next iteration index to run
 };
 

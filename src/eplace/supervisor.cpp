@@ -1,8 +1,5 @@
 #include "eplace/supervisor.h"
 
-#include <dirent.h>
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -46,6 +43,18 @@ const char* supervisorEventKindName(SupervisorEvent::Kind k) {
 
 namespace {
 
+/// Overflow target for coarse V-cycle levels (floored at
+/// GpConfig::targetOverflow).
+constexpr double kLevelTargetOverflow = 0.25;
+/// Added to GpConfig::targetOverflow per GP retry (relaxed density goal).
+constexpr double kOverflowRetryRelax = 0.05;
+/// Legalized HPWL may be at most this multiple of the pre-legal HPWL.
+constexpr double kLegalizeHpwlCap = 2.0;
+/// Detail placement may not end above (1 + this) x post-legalize HPWL.
+constexpr double kDetailRegressionTol = 1e-9;
+/// Retry-jitter RNG stream.
+constexpr std::uint64_t kPerturbSeed = 0x5EEDCAFEULL;
+
 constexpr const char* kSnapPrefix = "snap_";
 constexpr const char* kSnapSuffix = ".epsnap";
 
@@ -74,26 +83,13 @@ int snapSeqOf(const std::string& name) {
 /// Snapshot files in `dir`, sorted by ascending sequence number.
 std::vector<std::string> listSnapshotFiles(const std::string& dir) {
   std::vector<std::string> files;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return files;
-  while (const dirent* e = ::readdir(d)) {
-    if (snapSeqOf(e->d_name) >= 0) files.emplace_back(e->d_name);
+  for (std::string& name : io::listDir(dir)) {
+    if (snapSeqOf(name) >= 0) files.push_back(std::move(name));
   }
-  ::closedir(d);
   std::sort(files.begin(), files.end(), [](const auto& a, const auto& b) {
     return snapSeqOf(a) < snapSeqOf(b);
   });
   return files;
-}
-
-void makeDirs(const std::string& path) {
-  std::string cur;
-  for (std::size_t i = 0; i <= path.size(); ++i) {
-    if (i == path.size() || path[i] == '/') {
-      if (!cur.empty() && cur != "/") ::mkdir(cur.c_str(), 0755);
-    }
-    if (i < path.size()) cur += path[i];
-  }
 }
 
 /// Serialize positions straight from the view's SoA arrays (layout: all
@@ -439,7 +435,7 @@ struct Supervisor {
         db(database),
         sup(supervision),
         report(rep),
-        jitter(sup.perturbSeed),
+        jitter(kPerturbSeed),
         keepSnapshots(supervision.keepSnapshots) {
     st.cfg = cfg;
     st.ctx = &rc;
@@ -679,7 +675,7 @@ struct Supervisor {
     GpConfig gcfg = st.cfg.gp;
     gcfg.maxIterations = std::max(1, sup.multilevel.levelMaxIterations);
     gcfg.targetOverflow =
-        std::max(gcfg.targetOverflow, sup.multilevel.levelTargetOverflow);
+        std::max(gcfg.targetOverflow, kLevelTargetOverflow);
     GlobalPlacer gp(ldb, ldb.movable(), gcfg, &rc);
     GpRunControl ctl;
     const bool resumeHere = hasResumeGp &&
@@ -856,7 +852,7 @@ struct Supervisor {
           // Perturbed retry: relaxed density goal, re-seeded fillers.
           st.cfg.gp.targetOverflow =
               baseGp.targetOverflow +
-              static_cast<double>(attempt) * sup.overflowRetryRelax;
+              static_cast<double>(attempt) * kOverflowRetryRelax;
           st.cfg.gp.fillerSeed =
               baseGp.fillerSeed + 7919ULL * static_cast<std::uint64_t>(attempt);
           appendNote(rep, "retry with relaxed target overflow");
@@ -998,7 +994,7 @@ struct Supervisor {
     if (!checkLegality(db).legal) return false;
     const double h = hpwl(db);
     if (!std::isfinite(h)) return false;
-    return preHpwl <= 0.0 || h <= preHpwl * sup.legalizeHpwlCap;
+    return preHpwl <= 0.0 || h <= preHpwl * kLegalizeHpwlCap;
   }
 
   void runCdp() {
@@ -1020,7 +1016,7 @@ struct Supervisor {
       legalOk = legalGateOk(preHpwl);
       if (!legalOk && !budgetLeft(sup.cdp, t)) break;
     }
-    if (!legalOk && sup.allowFallbacks) {
+    if (!legalOk) {
       restorePositions(db, entry);
       ++rep.attempts;
       rep.fellBack = true;
@@ -1047,7 +1043,7 @@ struct Supervisor {
       const double after = hpwl(db);
       const bool detailOk =
           std::isfinite(after) &&
-          after <= postLegalHpwl * (1.0 + sup.detailRegressionTol) &&
+          after <= postLegalHpwl * (1.0 + kDetailRegressionTol) &&
           checkLegality(db).legal && movablesFiniteInCore(db);
       if (!detailOk) {
         // Skip-cDP fallback: the legalized placement is the deliverable.
@@ -1092,7 +1088,7 @@ struct Supervisor {
 
   StatusOr<FlowResult> run() {
     if (!sup.snapshotDir.empty()) {
-      makeDirs(sup.snapshotDir);
+      io::makeDirs(sup.snapshotDir);
       const auto existing = listSnapshotFiles(sup.snapshotDir);
       if (!existing.empty()) nextSeq = snapSeqOf(existing.back()) + 1;
     }

@@ -7,12 +7,16 @@
 #include "util/context.h"
 #include "util/fault_injector.h"
 #include "util/log.h"
-#include "util/rng.h"
 #include "wirelength/wl.h"
 
 namespace ep {
 
 namespace {
+
+/// Cells per reorder window.
+constexpr std::size_t kWindowSize = 3;
+/// Nearest same-width swap candidates tried per cell.
+constexpr std::size_t kSwapCandidates = 8;
 
 /// Sum of weighted HPWL over a set of net ids (deduplicated by the caller).
 double netsHpwl(const PlacementDB& db, std::span<const std::int32_t> nets) {
@@ -46,7 +50,6 @@ DetailResult detailPlace(PlacementDB& db, const DetailConfig& cfg,
   RuntimeContext& rc = resolveContext(ctx);
   DetailResult res;
   res.hpwlBefore = hpwl(db);
-  Rng rng(cfg.seed);
 
   // Obstacle x-intervals per row band: window packing must never slide a
   // cell across a fixed object or macro sitting inside the row. Flags come
@@ -107,13 +110,11 @@ DetailResult detailPlace(PlacementDB& db, const DetailConfig& cfg,
     }
 
     // --- Window reordering within each row ---
-    const int win = std::max(2, cfg.windowSize);
     for (auto& [y, cells] : rows) {
-      if (static_cast<int>(cells.size()) < win) continue;
-      for (std::size_t s = 0; s + static_cast<std::size_t>(win) <= cells.size();
-           ++s) {
-        window.assign(cells.begin() + static_cast<std::ptrdiff_t>(s),
-                      cells.begin() + static_cast<std::ptrdiff_t>(s) + win);
+      if (cells.size() < kWindowSize) continue;
+      for (std::size_t s = 0; s + kWindowSize <= cells.size(); ++s) {
+        const auto first = cells.begin() + static_cast<std::ptrdiff_t>(s);
+        window.assign(first, first + kWindowSize);
         // Window span: from the leftmost cell's lx to the right edge of the
         // last cell (gaps inside are preserved as trailing slack).
         const double x0 = db.objects[static_cast<std::size_t>(window.front())].lx;
@@ -186,8 +187,8 @@ DetailResult detailPlace(PlacementDB& db, const DetailConfig& cfg,
                db.objects[static_cast<std::size_t>(b)].lx;
       });
       for (std::size_t k = 0; k < group.size(); ++k) {
-        const std::size_t lim = std::min(
-            group.size(), k + 1 + static_cast<std::size_t>(cfg.swapCandidates));
+        const std::size_t lim =
+            std::min(group.size(), k + 1 + kSwapCandidates);
         for (std::size_t j = k + 1; j < lim; ++j) {
           auto& a = db.objects[static_cast<std::size_t>(group[k])];
           auto& b = db.objects[static_cast<std::size_t>(group[j])];

@@ -1,8 +1,6 @@
 #include "serve/journal.h"
 
-#include <dirent.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -18,16 +16,6 @@ namespace {
 
 constexpr const char* kJobPrefix = "job_";
 constexpr const char* kJsonSuffix = ".json";
-
-void makeDirs(const std::string& path) {
-  std::string cur;
-  for (std::size_t i = 0; i <= path.size(); ++i) {
-    if (i == path.size() || path[i] == '/') {
-      if (!cur.empty() && cur != "/") ::mkdir(cur.c_str(), 0755);
-    }
-    if (i < path.size()) cur += path[i];
-  }
-}
 
 std::string jobFileName(std::uint64_t id) {
   char buf[40];
@@ -54,13 +42,10 @@ std::uint64_t jobIdOf(const std::string& name) {
 
 std::vector<std::uint64_t> listJobIds(const std::string& dir) {
   std::vector<std::uint64_t> ids;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return ids;
-  while (const dirent* e = ::readdir(d)) {
-    const std::uint64_t id = jobIdOf(e->d_name);
+  for (const std::string& name : io::listDir(dir)) {
+    const std::uint64_t id = jobIdOf(name);
     if (id > 0) ids.push_back(id);
   }
-  ::closedir(d);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -81,9 +66,9 @@ bool fileExists(const std::string& path) {
 }  // namespace
 
 Status JobStore::init() {
-  makeDirs(root_ + "/jobs");
-  makeDirs(root_ + "/results");
-  makeDirs(root_ + "/snaps");
+  io::makeDirs(root_ + "/jobs");
+  io::makeDirs(root_ + "/results");
+  io::makeDirs(root_ + "/snaps");
   if (!fileExists(root_ + "/jobs")) {
     return Status::ioError("cannot create job store under " + root_);
   }

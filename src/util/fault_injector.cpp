@@ -1,5 +1,7 @@
 #include "util/fault_injector.h"
 
+#include <algorithm>
+#include <charconv>
 #include <limits>
 
 #include "util/log.h"
@@ -88,6 +90,75 @@ std::span<const char* const> knownFaultSites() {
       "io.enospc",
   };
   return kSites;
+}
+
+const char* faultKindName(FaultKind k) {
+  switch (k) {
+    case FaultKind::kNaN: return "nan";
+    case FaultKind::kSpike: return "spike";
+    case FaultKind::kTruncate: return "trunc";
+    case FaultKind::kError: return "error";
+  }
+  return "nan";
+}
+
+bool faultKindFromName(std::string_view name, FaultKind* out) {
+  for (const FaultKind k : {FaultKind::kNaN, FaultKind::kSpike,
+                            FaultKind::kTruncate, FaultKind::kError}) {
+    if (name == faultKindName(k)) {
+      *out = k;
+      return true;
+    }
+  }
+  return false;
+}
+
+namespace {
+
+/// Whole-string integer parse: empty, sign-only or partial input fails.
+template <typename Int>
+bool parseWholeInt(std::string_view s, Int* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
+Status parseFaultInjection(std::string_view arg, std::string* site,
+                           FaultSpec* spec) {
+  const auto eq = arg.find('=');
+  const auto at = arg.find('@');
+  if (eq == std::string_view::npos || at == std::string_view::npos ||
+      at < eq) {
+    return Status::invalidInput("expected site=kind@tick[xN]");
+  }
+  const std::string_view siteName = arg.substr(0, eq);
+  const auto sites = knownFaultSites();
+  if (std::find(sites.begin(), sites.end(), siteName) == sites.end()) {
+    return Status::invalidInput("unknown fault site '" +
+                                std::string(siteName) + "'");
+  }
+  FaultSpec parsed = *spec;
+  if (!faultKindFromName(arg.substr(eq + 1, at - eq - 1), &parsed.kind)) {
+    return Status::invalidInput("fault kind must be nan|spike|trunc|error");
+  }
+  std::string_view tick = arg.substr(at + 1);
+  const auto x = tick.find('x');
+  if (x != std::string_view::npos) {
+    if (!parseWholeInt(tick.substr(x + 1), &parsed.count) ||
+        parsed.count == 0 || parsed.count < -1) {
+      return Status::invalidInput(
+          "fault count must be a positive integer or -1");
+    }
+    tick = tick.substr(0, x);
+  }
+  if (!parseWholeInt(tick, &parsed.atTick) || parsed.atTick < 0) {
+    return Status::invalidInput("fault tick must be a non-negative integer");
+  }
+  *site = std::string(siteName);
+  *spec = parsed;
+  return Status::okStatus();
 }
 
 }  // namespace ep

@@ -44,8 +44,10 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace ep {
 
@@ -112,5 +114,21 @@ class FaultInjector {
 /// the flow degrades with a typed Status instead of crashing; keep this list
 /// in sync when instrumenting a new site.
 std::span<const char* const> knownFaultSites();
+
+/// Fault kind names as spelled on the command line and in the serve
+/// protocol: "nan", "spike", "trunc", "error".
+const char* faultKindName(FaultKind k);
+/// Inverse of faultKindName; false (and `*out` untouched) for any other
+/// spelling.
+bool faultKindFromName(std::string_view name, FaultKind* out);
+
+/// Parses a command-line fault spec `site=kind@tick[xN]` (e.g.
+/// "nesterov.grad=nan@40x-1"). The site must be one of knownFaultSites(),
+/// the tick a non-negative integer and N a positive integer or -1 (every
+/// pass from `tick` on); partial or non-numeric numbers are rejected.
+/// kInvalidInput says which part is wrong; `*site`/`*spec` are written only
+/// on success.
+Status parseFaultInjection(std::string_view arg, std::string* site,
+                           FaultSpec* spec);
 
 }  // namespace ep

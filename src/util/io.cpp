@@ -1,6 +1,8 @@
 #include "util/io.h"
 
+#include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -134,6 +136,28 @@ void syncParentDir(const std::string& path) {
 bool isNoSpace(const Status& s) {
   return s.code() == StatusCode::kIo &&
          s.message().find(kNoSpaceTag) != std::string::npos;
+}
+
+void makeDirs(const std::string& path) {
+  std::string cur;
+  for (std::size_t i = 0; i <= path.size(); ++i) {
+    if (i == path.size() || path[i] == '/') {
+      if (!cur.empty() && cur != "/") ::mkdir(cur.c_str(), 0755);
+    }
+    if (i < path.size()) cur += path[i];
+  }
+}
+
+std::vector<std::string> listDir(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (const dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  ::closedir(d);
+  return names;
 }
 
 }  // namespace ep::io

@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "util/status.h"
 
@@ -73,6 +74,15 @@ void syncParentDir(const std::string& path);
 /// (ENOSPC/EDQUOT, or the injected "io.enospc" fault). The supervisor uses
 /// this to stop checkpointing instead of retrying forever.
 [[nodiscard]] bool isNoSpace(const Status& s);
+
+/// `mkdir -p`: creates every missing component of `path` (mode 0755).
+/// Best-effort by design — a directory that could not be created surfaces
+/// as the typed kIo of the first durable write into it.
+void makeDirs(const std::string& path);
+
+/// Entry names in `dir` in readdir order, without "." and "..". Empty when
+/// the directory cannot be opened.
+std::vector<std::string> listDir(const std::string& dir);
 
 }  // namespace io
 }  // namespace ep

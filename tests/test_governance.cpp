@@ -178,7 +178,12 @@ TEST(MemoryBudget, ArenaGrowthBreachThrowsAndAllocatesNothing) {
 class IoFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "ep_io_fault";
+    // One directory per test: ctest runs the tests of this fixture as
+    // concurrent processes, and a shared directory let one test's
+    // TearDown delete another's files mid-write.
+    dir_ = fs::path(::testing::TempDir()) /
+           (std::string("ep_io_fault_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

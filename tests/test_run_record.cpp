@@ -86,8 +86,12 @@ RunRecord runSessionRecord(std::uint64_t seed, int threads) {
 using RunRecordTest = ::testing::Test;
 
 TEST_F(RunRecordTest, HexBits64RoundTrip) {
-  const std::uint64_t patterns[] = {0, 1, 0xFFFFFFFFFFFFFFFFULL,
-                                    doubleBits(-0.0), doubleBits(3.14159)};
+  const std::uint64_t patterns[] = {0,
+                                    1,
+                                    0xFFFFFFFFFFFFFFFFULL,
+                                    0xdeadbeefcafef00dULL,
+                                    doubleBits(-0.0),
+                                    doubleBits(3.14159)};
   for (const std::uint64_t bits : patterns) {
     const std::string hex = hexBits64(bits);
     EXPECT_EQ(hex.size(), 18u);  // "0x" + 16 digits
@@ -98,6 +102,7 @@ TEST_F(RunRecordTest, HexBits64RoundTrip) {
   std::uint64_t out = 0;
   EXPECT_FALSE(parseHexBits64("", &out));
   EXPECT_FALSE(parseHexBits64("0x12", &out));             // too short
+  EXPECT_FALSE(parseHexBits64("0xzz", &out));
   EXPECT_FALSE(parseHexBits64("0xZZZZZZZZZZZZZZZZ", &out));
   EXPECT_FALSE(parseHexBits64("1234567890abcdef12", &out));  // no 0x
 }

@@ -261,14 +261,40 @@ TEST(Protocol, OutcomeRoundTripPreservesHpwlBits) {
 TEST(Protocol, HexBitsRoundTrip) {
   for (const std::uint64_t bits :
        {0ULL, 1ULL, 0xdeadbeefcafef00dULL, ~0ULL}) {
-    std::uint64_t back = 0;
-    ASSERT_TRUE(parseHexBits(hexBits(bits), &back));
-    EXPECT_EQ(back, bits);
+    JobOutcome out;
+    out.id = 3;
+    out.hpwlBits = bits;
+    JobOutcome back;
+    ASSERT_TRUE(outcomeFromJson(outcomeToJson(out), &back).ok());
+    EXPECT_EQ(back.hpwlBits, bits);
   }
-  std::uint64_t ignored = 0;
-  EXPECT_FALSE(parseHexBits("", &ignored));
-  EXPECT_FALSE(parseHexBits("12ab", &ignored));     // no 0x prefix
-  EXPECT_FALSE(parseHexBits("0xzz", &ignored));
+  for (const char* bad : {"", "12ab", "0xzz"}) {  // empty, no 0x, non-hex
+    JsonValue v = JsonValue::object();
+    v.set("id", JsonValue::number(3));
+    v.set("hpwl_bits", JsonValue::str(bad));
+    JobOutcome ignored;
+    EXPECT_EQ(outcomeFromJson(v, &ignored).code(), StatusCode::kInvalidInput)
+        << bad;
+  }
+}
+
+TEST(Protocol, OutcomeHpwlBitsWireForm) {
+  JobOutcome out;
+  out.id = 7;
+  out.hpwlBits = 0xdeadbeefcafef00dULL;
+  JsonValue v = outcomeToJson(out);
+  EXPECT_EQ(v.getString("hpwl_bits"), "0xdeadbeefcafef00d");
+
+  // A record without hpwl_bits decodes as 0; a non-canonical one is
+  // rejected rather than guessed at.
+  JsonValue missing = JsonValue::object();
+  missing.set("id", JsonValue::number(7));
+  JobOutcome back;
+  back.hpwlBits = 1;
+  ASSERT_TRUE(outcomeFromJson(missing, &back).ok());
+  EXPECT_EQ(back.hpwlBits, 0u);
+  missing.set("hpwl_bits", JsonValue::str("0x0"));
+  EXPECT_EQ(outcomeFromJson(missing, &back).code(), StatusCode::kInvalidInput);
 }
 
 TEST(Protocol, ErrorResponseRoundTripsStatusKind) {

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "util/csv.h"
+#include "util/fault_injector.h"
 #include "util/geometry.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -186,6 +187,62 @@ TEST(Csv, WritesRows) {
   EXPECT_EQ(line, "a,b");
   std::getline(in, line);
   EXPECT_EQ(line, "1,2.5");
+}
+
+TEST(FaultSpecParse, AcceptsTickAndCount) {
+  std::string site;
+  FaultSpec spec;
+  ASSERT_TRUE(parseFaultInjection("nesterov.grad=nan@40", &site, &spec).ok());
+  EXPECT_EQ(site, "nesterov.grad");
+  EXPECT_EQ(spec.kind, FaultKind::kNaN);
+  EXPECT_EQ(spec.atTick, 40);
+  EXPECT_EQ(spec.count, 1);
+  ASSERT_TRUE(parseFaultInjection("fft.forward=spike@3x2", &site, &spec).ok());
+  EXPECT_EQ(spec.kind, FaultKind::kSpike);
+  EXPECT_EQ(spec.atTick, 3);
+  EXPECT_EQ(spec.count, 2);
+  ASSERT_TRUE(parseFaultInjection("io.write=error@0x-1", &site, &spec).ok());
+  EXPECT_EQ(site, "io.write");
+  EXPECT_EQ(spec.kind, FaultKind::kError);
+  EXPECT_EQ(spec.atTick, 0);
+  EXPECT_EQ(spec.count, -1);
+}
+
+TEST(FaultSpecParse, KindNamesRoundTrip) {
+  for (const FaultKind k : {FaultKind::kNaN, FaultKind::kSpike,
+                            FaultKind::kTruncate, FaultKind::kError}) {
+    FaultKind back = FaultKind::kNaN;
+    ASSERT_TRUE(faultKindFromName(faultKindName(k), &back));
+    EXPECT_EQ(back, k);
+  }
+  FaultKind ignored = FaultKind::kNaN;
+  EXPECT_FALSE(faultKindFromName("NaN", &ignored));
+}
+
+TEST(FaultSpecParse, RejectsMalformedSpecs) {
+  const char* bad[] = {
+      "nesterov.grad=nan@4x",     // empty count (was count 0: never fires)
+      "nesterov.grad=nan@abc",    // non-numeric tick (was tick 0)
+      "nesterov.grad=nan@12abc",  // partial tick
+      "nesterov.grad=nan@4x2z",   // partial count
+      "nesterov.grad=nan@4x0",    // count 0 never fires
+      "nesterov.grad=nan@4x-2",   // only -1 means "every pass"
+      "nesterov.grad=nan@-1",     // negative tick
+      "nesterov.grad=nan@",       // empty tick
+      "nesterov.gard=nan@4",      // unknown site
+      "nesterov.grad=boom@4",     // unknown kind
+      "nesterov.grad@4=nan",      // '@' before '='
+      "nesterov.grad",            // no kind/tick at all
+  };
+  for (const char* arg : bad) {
+    std::string site = "untouched";
+    FaultSpec spec;
+    spec.atTick = 99;
+    const Status s = parseFaultInjection(arg, &site, &spec);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidInput) << arg;
+    EXPECT_EQ(site, "untouched") << arg;
+    EXPECT_EQ(spec.atTick, 99) << arg;
+  }
 }
 
 }  // namespace
