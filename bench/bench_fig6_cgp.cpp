@@ -43,7 +43,7 @@ int main() {
   const double oBefore = gridOverlapArea(db, false, 256, 256);
   auto plotWithFillers = [&](const char* path) {
     const auto& f = cgp.fillers();
-    plotLayout(db, path, {}, f.cx, f.cy, std::vector<double>(f.size(), f.w),
+    plotLayout(db, path, f.cx, f.cy, std::vector<double>(f.size(), f.w),
                std::vector<double>(f.size(), f.h));
   };
   plotWithFillers("fig6_before.ppm");

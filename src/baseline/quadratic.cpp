@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "eval/metrics.h"
@@ -16,20 +17,30 @@ namespace ep {
 
 namespace {
 
+constexpr double kAnchorWeight0 = 0.01;  ///< initial pseudo-spring weight
+constexpr double kAnchorGrowth = 1.2;
+/// Fraction of the inverse-CDF displacement applied per iteration
+/// (FastPlace-style damped cell shifting; 1.0 = jump to the target).
+constexpr double kSpreadDamping = 0.6;
+/// Spreading bands along the other axis, and capacity bins per band.
+constexpr std::size_t kBands = 16;
+constexpr std::size_t kBins = 32;
+constexpr int kCgMaxIterations = 200;
+constexpr std::uint64_t kSeed = 5;
+
 /// Per-band inverse-CDF remap of one axis. `pos` is the coordinate being
 /// spread, `other` selects the band. Returns the spreading targets.
 std::vector<double> spreadAxis(const PlacementDB& db,
                                const std::vector<std::int32_t>& movable,
                                const std::vector<double>& pos,
-                               const std::vector<double>& other, bool axisX,
-                               std::size_t bands, std::size_t bins) {
+                               const std::vector<double>& other, bool axisX) {
   const Rect& r = db.region;
   const double lo = axisX ? r.lx : r.ly;
   const double hi = axisX ? r.hx : r.hy;
   const double bandLo = axisX ? r.ly : r.lx;
   const double bandHi = axisX ? r.hy : r.hx;
-  const double binW = (hi - lo) / static_cast<double>(bins);
-  const double bandW = (bandHi - bandLo) / static_cast<double>(bands);
+  const double binW = (hi - lo) / static_cast<double>(kBins);
+  const double bandW = (bandHi - bandLo) / static_cast<double>(kBands);
 
   // Free capacity per (band, bin): band area minus fixed overlap, scaled by
   // the target density. Fixed rects come from the view's SoA arrays.
@@ -39,9 +50,9 @@ std::vector<double> spreadAxis(const PlacementDB& db,
   const auto vly = pv.ly();
   const auto vw = pv.w();
   const auto vh = pv.h();
-  std::vector<double> cap(bands * bins, 0.0);
-  for (std::size_t b = 0; b < bands; ++b) {
-    for (std::size_t i = 0; i < bins; ++i) {
+  std::vector<double> cap(kBands * kBins, 0.0);
+  for (std::size_t b = 0; b < kBands; ++b) {
+    for (std::size_t i = 0; i < kBins; ++i) {
       Rect cell;
       if (axisX) {
         cell = {lo + i * binW, bandLo + b * bandW, lo + (i + 1) * binW,
@@ -56,21 +67,21 @@ std::vector<double> spreadAxis(const PlacementDB& db,
         const Rect r{vlx[k], vly[k], vlx[k] + vw[k], vly[k] + vh[k]};
         fixedArea += r.overlapArea(cell);
       }
-      cap[b * bins + i] =
+      cap[b * kBins + i] =
           db.targetDensity * std::max(0.0, cell.area() - fixedArea);
     }
   }
 
   // Group movables into bands.
-  std::vector<std::vector<std::size_t>> byBand(bands);
+  std::vector<std::vector<std::size_t>> byBand(kBands);
   for (std::size_t k = 0; k < movable.size(); ++k) {
     auto b = static_cast<std::size_t>((other[k] - bandLo) / bandW);
-    b = std::min(b, bands - 1);
+    b = std::min(b, kBands - 1);
     byBand[b].push_back(k);
   }
 
   std::vector<double> target = pos;
-  for (std::size_t b = 0; b < bands; ++b) {
+  for (std::size_t b = 0; b < kBands; ++b) {
     auto& cells = byBand[b];
     if (cells.empty()) continue;
     std::sort(cells.begin(), cells.end(),
@@ -81,7 +92,7 @@ std::vector<double> spreadAxis(const PlacementDB& db,
       areaTotal += objArea[static_cast<std::size_t>(movable[k])];
     }
     double capTotal = 0.0;
-    for (std::size_t i = 0; i < bins; ++i) capTotal += cap[b * bins + i];
+    for (std::size_t i = 0; i < kBins; ++i) capTotal += cap[b * kBins + i];
     if (capTotal <= 0.0 || areaTotal <= 0.0) continue;
 
     // Walk the capacity CDF.
@@ -92,12 +103,12 @@ std::vector<double> spreadAxis(const PlacementDB& db,
       const double a = objArea[static_cast<std::size_t>(movable[k])];
       const double want = (areaCum + 0.5 * a) / areaTotal * capTotal;
       areaCum += a;
-      while (bin + 1 < bins && capBefore + cap[b * bins + bin] < want) {
-        capBefore += cap[b * bins + bin];
+      while (bin + 1 < kBins && capBefore + cap[b * kBins + bin] < want) {
+        capBefore += cap[b * kBins + bin];
         ++bin;
       }
-      const double inBin = cap[b * bins + bin] > 0.0
-                               ? (want - capBefore) / cap[b * bins + bin]
+      const double inBin = cap[b * kBins + bin] > 0.0
+                               ? (want - capBefore) / cap[b * kBins + bin]
                                : 0.5;
       target[k] = lo + (static_cast<double>(bin) +
                         std::clamp(inBin, 0.0, 1.0)) *
@@ -125,7 +136,7 @@ QuadraticPlaceResult quadraticPlace(PlacementDB& db,
   const std::span<const double> objArea = db.view().area();
 
   // Seed like mIP: center with jitter.
-  Rng rng(cfg.seed);
+  Rng rng(kSeed);
   const Point c = db.region.center();
   std::vector<double> x(static_cast<std::size_t>(n)),
       y(static_cast<std::size_t>(n));
@@ -137,7 +148,7 @@ QuadraticPlaceResult quadraticPlace(PlacementDB& db,
   }
 
   std::vector<double> tx, ty;  // anchors (empty in the first iteration)
-  double anchorW = cfg.anchorWeight0;
+  double anchorW = kAnchorWeight0;
 
   auto writeBack = [&] {
     for (std::int32_t v = 0; v < n; ++v) {
@@ -188,7 +199,7 @@ QuadraticPlaceResult quadraticPlace(PlacementDB& db,
         }
       }
       builder.buildInto(A);
-      cgSolve(A, rhs, pos, cfg.cgMaxIterations, 1e-6, &rc.pool(), &ws);
+      cgSolve(A, rhs, pos, kCgMaxIterations, 1e-6, &rc.pool(), &ws);
     }
     writeBack();
 
@@ -196,13 +207,13 @@ QuadraticPlaceResult quadraticPlace(PlacementDB& db,
     res.finalOverflow = rep.overflow;
     if (rep.overflow <= cfg.targetOverflow) break;
 
-    tx = spreadAxis(db, movable, x, y, true, cfg.bandsX, cfg.binsPerBand);
-    ty = spreadAxis(db, movable, y, x, false, cfg.bandsY, cfg.binsPerBand);
+    tx = spreadAxis(db, movable, x, y, true);
+    ty = spreadAxis(db, movable, y, x, false);
     for (std::size_t k = 0; k < tx.size(); ++k) {
-      tx[k] = x[k] + cfg.spreadDamping * (tx[k] - x[k]);
-      ty[k] = y[k] + cfg.spreadDamping * (ty[k] - y[k]);
+      tx[k] = x[k] + kSpreadDamping * (tx[k] - x[k]);
+      ty[k] = y[k] + kSpreadDamping * (ty[k] - y[k]);
     }
-    anchorW *= cfg.anchorGrowth;
+    anchorW *= kAnchorGrowth;
   }
 
   writeBack();

@@ -9,11 +9,21 @@
 
 namespace ep {
 
-CgOptimizer::CgOptimizer(std::size_t dim, GradFn fn, CgConfig cfg,
+namespace {
+
+constexpr double kArmijoC = 1e-4;  ///< sufficient-decrease constant
+constexpr double kShrink = 0.5;    ///< step shrink factor per trial
+constexpr int kMaxTrials = 30;     ///< cap on line-search trials
+constexpr double kGrowth = 2.0;    ///< first trial = growth * last accepted
+constexpr int kRestartInterval = 50;  ///< periodic steepest-descent restart
+
+}  // namespace
+
+CgOptimizer::CgOptimizer(std::size_t dim, GradFn fn, double initialStep,
                          ProjectionFn projection)
     : dim_(dim),
       fn_(std::move(fn)),
-      cfg_(cfg),
+      initialStep_(initialStep),
       project_(std::move(projection)),
       x_(dim),
       grad_(dim),
@@ -34,7 +44,7 @@ void CgOptimizer::initialize(std::span<const double> v0) {
   if (project_) project_(x_);
   f_ = evaluate(x_, grad_);
   for (std::size_t i = 0; i < dim_; ++i) dir_[i] = -grad_[i];
-  lastStep_ = cfg_.initialStep;
+  lastStep_ = initialStep_;
   iter_ = 0;
 }
 
@@ -44,28 +54,27 @@ CgOptimizer::StepInfo CgOptimizer::step() {
 
   // Direction must be a descent direction; otherwise restart.
   double gd = dot(grad_, dir_);
-  if (gd >= 0.0 || (cfg_.restartInterval > 0 && iter_ > 0 &&
-                    iter_ % cfg_.restartInterval == 0)) {
+  if (gd >= 0.0 || (iter_ > 0 && iter_ % kRestartInterval == 0)) {
     for (std::size_t i = 0; i < dim_; ++i) dir_[i] = -grad_[i];
     gd = dot(grad_, dir_);
   }
 
   // Armijo backtracking line search along dir_.
   Timer ls;
-  double t = std::max(lastStep_ * cfg_.growth, 1e-12);
+  double t = std::max(lastStep_ * kGrowth, 1e-12);
   double fTrial = f_;
   int trials = 0;
   bool accepted = false;
-  while (trials < cfg_.maxTrials) {
+  while (trials < kMaxTrials) {
     for (std::size_t i = 0; i < dim_; ++i) trial_[i] = x_[i] + t * dir_[i];
     if (project_) project_(trial_);
     fTrial = evaluate(trial_, trialGrad_);
     ++trials;
-    if (fTrial <= f_ + cfg_.armijoC * t * gd) {
+    if (fTrial <= f_ + kArmijoC * t * gd) {
       accepted = true;
       break;
     }
-    t *= cfg_.shrink;
+    t *= kShrink;
   }
   lineSearchSec_ += ls.seconds();
 

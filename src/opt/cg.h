@@ -12,18 +12,10 @@
 
 namespace ep {
 
-struct CgConfig {
-  double armijoC = 1e-4;          ///< sufficient-decrease constant
-  double shrink = 0.5;            ///< step shrink factor per trial
-  int maxTrials = 30;             ///< cap on line-search trials
-  double growth = 2.0;            ///< first trial = growth * last accepted
-  double initialStep = 1.0;       ///< first iteration trial step
-  int restartInterval = 50;       ///< periodic steepest-descent restart
-};
-
 class CgOptimizer {
  public:
-  CgOptimizer(std::size_t dim, GradFn fn, CgConfig cfg = {},
+  /// `initialStep` is the first iteration's trial step.
+  CgOptimizer(std::size_t dim, GradFn fn, double initialStep = 1.0,
               ProjectionFn projection = {});
 
   void initialize(std::span<const double> v0);
@@ -49,7 +41,7 @@ class CgOptimizer {
 
   std::size_t dim_;
   GradFn fn_;
-  CgConfig cfg_;
+  double initialStep_;
   ProjectionFn project_;
 
   std::vector<double> x_, grad_, prevGrad_, dir_, trial_, trialGrad_;

@@ -2,18 +2,25 @@
 
 #include <cmath>
 
+#include "eplace/flow.h"
 #include "eval/metrics.h"
 #include "util/log.h"
 #include "wirelength/wl.h"
 
 namespace ep {
 
+namespace {
+
+constexpr double kAlpha = 4.0;  ///< weight gain on fully critical nets
+
+}  // namespace
+
 TimingDrivenResult timingDrivenPlace(PlacementDB& db,
                                      const TimingDrivenConfig& cfg) {
   TimingDrivenResult res;
 
   // Seed run fixes the clock target.
-  runEplaceFlow(db, cfg.flow);
+  runEplaceFlow(db);
   {
     const StaResult seed = staAnalyze(db);
     res.clockPeriod = cfg.clockFactor * seed.maxDelay;
@@ -49,9 +56,9 @@ TimingDrivenResult timingDrivenPlace(PlacementDB& db,
     const StaResult sta = staAnalyze(db, res.clockPeriod);
     for (std::size_t e = 0; e < db.nets.size(); ++e) {
       const double crit = sta.criticality(e);
-      db.nets[e].weight = origWeight[e] * (1.0 + cfg.alpha * crit * crit);
+      db.nets[e].weight = origWeight[e] * (1.0 + kAlpha * crit * crit);
     }
-    runEplaceFlow(db, cfg.flow);
+    runEplaceFlow(db);
     ++res.rounds;
 
     const StaResult now = staAnalyze(db, res.clockPeriod);
