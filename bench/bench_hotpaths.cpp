@@ -357,7 +357,7 @@ int main(int argc, char** argv) {
     const std::uint64_t flowAllocs = allocCount() - a0;
     // Accumulate a structured run record per thread count so regression
     // tooling can diff bench runs the same way it diffs CLI/serve runs.
-    const RunRecord rec = buildRunRecord(run, res, nullptr, &ctx, false);
+    const RunRecord rec = buildRunRecord(run, res, nullptr, &ctx);
     const Status recWr = writeRunRecordFile(
         "bench_results/hotpaths_flow_t" + std::to_string(nt) + ".json", rec);
     if (!recWr.ok()) {
@@ -502,14 +502,15 @@ int main(int argc, char** argv) {
           scfg.gp.minIterations = 0;
           scfg.runDetail = false;
         }
+        SupervisorReport report;
         Timer st;
-        const auto res = runSupervisedFlow(run, scfg, sup, nullptr, &ctx);
+        const auto res = runSupervisedFlow(run, scfg, sup, &report, &ctx);
         row.seconds[ml] = st.seconds();
         row.peakBytes[ml] = ctx.memory().peakBytes();
         if (res.ok()) {
           row.hpwl[ml] = res->finalHpwl;
           row.levels[ml] = res->mgpLevels.size();
-          const RunRecord rec = buildRunRecord(run, *res, nullptr, &ctx);
+          const RunRecord rec = buildRunRecord(run, *res, &report, &ctx);
           const Status wr = writeRunRecordFile(
               std::string("bench_results/hotpaths_scale_") +
                   std::to_string(row.cells) + (ml ? "_ml" : "_flat") +

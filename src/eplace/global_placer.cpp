@@ -28,25 +28,14 @@ std::size_t gridDim(std::size_t cfgDim, std::size_t numObjects) {
   return cfgDim != 0 ? cfgDim : BinGrid::chooseResolution(numObjects);
 }
 
-/// Memory-budget charge for the bin grid and its spectral solver,
-/// constructed BEFORE ElectroDensity so a breach throws (surfacing as
+/// Memory-budget charge for the bin grid and its spectral solver, taken
+/// BEFORE ElectroDensity is constructed so a breach throws (surfacing as
 /// kResourceExhausted at the stage boundary, where the supervisor retries
 /// with a coarser grid) without the grid ever allocating. ~8 double planes
 /// at grid resolution: density/potential/field maps plus DCT workspaces.
-class GridBudgetCharge {
- public:
-  GridBudgetCharge(MemoryBudget& mb, std::size_t nx, std::size_t ny)
-      : mb_(mb), bytes_(nx * ny * sizeof(double) * 8) {
-    mb_.chargeOrThrow(bytes_);
-  }
-  ~GridBudgetCharge() { mb_.release(bytes_); }
-  GridBudgetCharge(const GridBudgetCharge&) = delete;
-  GridBudgetCharge& operator=(const GridBudgetCharge&) = delete;
-
- private:
-  MemoryBudget& mb_;
-  std::size_t bytes_;
-};
+ScopedCharge chargeGrid(MemoryBudget& mb, std::size_t nx, std::size_t ny) {
+  return ScopedCharge::orThrow(mb, nx * ny * sizeof(double) * 8);
+}
 
 }  // namespace
 
@@ -70,7 +59,7 @@ struct GlobalPlacer::Engine {
   std::span<double> wlPrecond;             // |E_i| per var (0 for fillers)
   std::span<double> loX, hiX, loY, hiY;    // projection box per var
 
-  GridBudgetCharge gridCharge;  // before density: charge precedes allocation
+  ScopedCharge gridCharge;  // before density: charge precedes allocation
   ElectroDensity density;
   WlEvaluator wlEval;
 
@@ -94,9 +83,10 @@ struct GlobalPlacer::Engine {
         cfg(cfgIn),
         fillers(fillersIn),
         breakdown(bd),
-        gridCharge(rcIn.memory(),
-                   gridDim(cfgIn.gridNx, movables.size() + fillersIn.size()),
-                   gridDim(cfgIn.gridNy, movables.size() + fillersIn.size())),
+        gridCharge(chargeGrid(
+            rcIn.memory(),
+            gridDim(cfgIn.gridNx, movables.size() + fillersIn.size()),
+            gridDim(cfgIn.gridNy, movables.size() + fillersIn.size()))),
         density(dbIn.region,
                 gridDim(cfgIn.gridNx, movables.size() + fillersIn.size()),
                 gridDim(cfgIn.gridNy, movables.size() + fillersIn.size()),

@@ -85,8 +85,7 @@ StatusOr<FlowResult> PlacerSession::place() {
   if (run.ok()) {
     result_ = *run;
     record_ = buildRunRecord(db_, result_,
-                             opt_.supervised ? &report_ : nullptr, &ctx_,
-                             opt_.supervised);
+                             opt_.supervised ? &report_ : nullptr, &ctx_);
     hasResult_ = true;
   }
   return run;

@@ -172,13 +172,13 @@ StatusOr<FlowResult> runSupervisedFlow(PlacementDB& db, const FlowConfig& cfg,
 
 /// Assembles the structured run record (util/run_record.h) for a finished
 /// flow: per-stage metrics from `res`, retry counts from `report` (pass
-/// nullptr for an unsupervised run), recovery/rollback/snapshot counters
-/// and the stats dump from `ctx`'s registry, fingerprint/seed/threads from
-/// the input and context. Lives here — not in util — because it reads
-/// PlacementDB and FlowResult, which the util layer must not know about.
+/// nullptr for an unsupervised run; the record's `supervised` flag is
+/// `report != nullptr`), recovery/rollback/snapshot counters and the stats
+/// dump from `ctx`'s registry, fingerprint/seed/threads from the input and
+/// context. Lives here — not in util — because it reads PlacementDB and
+/// FlowResult, which the util layer must not know about.
 RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
                          const SupervisorReport* report = nullptr,
-                         RuntimeContext* ctx = nullptr,
-                         bool supervised = true);
+                         RuntimeContext* ctx = nullptr);
 
 }  // namespace ep

@@ -59,12 +59,8 @@ InitialPlaceResult quadraticInitialPlace(PlacementDB& db,
   // Charge before allocating. The assembly and CG buffers below live for
   // all 16 solves; after the first, CG allocates nothing and assembly only
   // when a system has more entries than any before it.
-  const std::size_t need = mipWorkspaceBytes(db);
-  ScopedCharge charge(rc.memory(), need);
-  if (!charge.ok()) {
-    throw MemoryBudgetExceeded(need, rc.memory().usedBytes(),
-                               rc.memory().limitBytes());
-  }
+  const ScopedCharge charge =
+      ScopedCharge::orThrow(rc.memory(), mipWorkspaceBytes(db));
 
   std::vector<std::int32_t> objToVar(db.objects.size(), -1);
   for (std::int32_t v = 0; v < n; ++v) {

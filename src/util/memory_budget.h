@@ -133,6 +133,14 @@ class ScopedCharge {
  public:
   ScopedCharge(MemoryBudget& budget, std::size_t bytes)
       : budget_(&budget), bytes_(bytes), ok_(budget.tryCharge(bytes)) {}
+  /// chargeOrThrow() flavour for call sites without a Status channel (mIP,
+  /// the bin grid): a rejected charge throws MemoryBudgetExceeded, so the
+  /// returned charge always holds its bytes.
+  [[nodiscard]] static ScopedCharge orThrow(MemoryBudget& budget,
+                                            std::size_t bytes) {
+    budget.chargeOrThrow(bytes);
+    return ScopedCharge(budget, bytes, true);
+  }
   ~ScopedCharge() {
     if (ok_) budget_->release(bytes_);
   }
@@ -144,6 +152,9 @@ class ScopedCharge {
   [[nodiscard]] bool ok() const { return ok_; }
 
  private:
+  ScopedCharge(MemoryBudget& budget, std::size_t bytes, bool charged)
+      : budget_(&budget), bytes_(bytes), ok_(charged) {}
+
   MemoryBudget* budget_;
   std::size_t bytes_;
   bool ok_;
