@@ -24,29 +24,13 @@ std::string jobFileName(std::uint64_t id) {
   return buf;
 }
 
-/// Id encoded in "job_<id>.json", or 0 on any mismatch (ids start at 1).
-std::uint64_t jobIdOf(const std::string& name) {
-  const std::size_t plen = std::string(kJobPrefix).size();
-  const std::size_t slen = std::string(kJsonSuffix).size();
-  if (name.size() <= plen + slen) return 0;
-  if (name.compare(0, plen, kJobPrefix) != 0) return 0;
-  if (name.compare(name.size() - slen, slen, kJsonSuffix) != 0) return 0;
-  std::uint64_t id = 0;
-  for (std::size_t i = plen; i < name.size() - slen; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return 0;
-    id = id * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return id;
-}
-
+/// Ids of the "job_<id>.json" files in `dir`, ascending (ids start at 1).
 std::vector<std::uint64_t> listJobIds(const std::string& dir) {
   std::vector<std::uint64_t> ids;
-  for (const std::string& name : io::listDir(dir)) {
-    const std::uint64_t id = jobIdOf(name);
-    if (id > 0) ids.push_back(id);
+  for (const io::NumberedFile& f :
+       io::listNumberedFiles(dir, kJobPrefix, kJsonSuffix)) {
+    if (f.id > 0) ids.push_back(f.id);
   }
-  std::sort(ids.begin(), ids.end());
   return ids;
 }
 
