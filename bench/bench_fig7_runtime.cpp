@@ -1,6 +1,7 @@
 // Fig. 7 reproduction: runtime breakdown of the ePlace flow averaged over
 // the MMS-like suite — per-stage shares (mGP / mLG / cGP / cDP / mIP) and
 // the split inside mGP (density gradient / wirelength gradient / other).
+// Stage times are the stages' StageMetrics::seconds (the record's wall_ms).
 //
 // Paper expectation (Fig. 7): mGP dominates the flow runtime; inside mGP
 // the density gradient is the largest share (57%), wirelength gradient
@@ -18,11 +19,11 @@ int main(int argc, char** argv) {
   for (const auto& spec : suite) {
     PlacementDB db = generateCircuit(spec);
     const FlowResult res = runEplaceFlow(db);
-    stage[0] += res.stageSeconds.get("mIP");
-    stage[1] += res.stageSeconds.get("mGP");
-    stage[2] += res.stageSeconds.get("mLG");
-    stage[3] += res.stageSeconds.get("cGP");
-    stage[4] += res.stageSeconds.get("cDP");
+    stage[0] += res.mip.seconds;
+    stage[1] += res.mgp.seconds;
+    stage[2] += res.mlg.seconds;
+    stage[3] += res.cgp.seconds;
+    stage[4] += res.cdp.seconds;
     inner[0] += res.mgpInner.get("density");
     inner[1] += res.mgpInner.get("wirelength");
     inner[2] += res.mgpInner.get("other");

@@ -26,17 +26,12 @@ constexpr int kFillerOnlyIterations = 20;
 /// cGP rewinds lambda by 1.1^-m with m = mGP iterations / 10 (Sec. VI-B).
 constexpr int kCgpBufferDivisor = 10;
 
-StageMetrics stageSnapshot(const PlacementDB& db, double seconds, int iters) {
-  return flowStageMetrics(db, seconds, iters);
-}
-
 }  // namespace
 
 void flowStageMip(PlacementDB& db, FlowState& st) {
   Timer t;
   quadraticInitialPlace(db, st.cfg.ip, st.ctx);
-  st.res.stageSeconds.add("mIP", t.seconds());
-  st.res.mip = stageSnapshot(db, t.seconds(), st.cfg.ip.outerIterations);
+  st.res.mip = flowStageMetrics(db, t.seconds(), st.cfg.ip.outerIterations);
 }
 
 void flowStageMgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
@@ -61,17 +56,15 @@ void flowStageMgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
   st.res.mgpInner = mgp.breakdown();
   const double stageTotal = t.seconds();
   st.res.mgpInner.add("other", stageTotal - st.res.mgpInner.get("density") -
-                                   st.res.mgpInner.get("wirelength") -
-                                   st.res.mgpInner.get("other"));
-  st.res.stageSeconds.add("mGP", stageTotal);
-  st.res.mgp = stageSnapshot(db, stageTotal, st.res.mgpResult.iterations);
+                                   st.res.mgpInner.get("wirelength"));
+  st.res.mgp = flowStageMetrics(db, stageTotal, st.res.mgpResult.iterations);
 }
 
 void flowStageMlg(PlacementDB& db, FlowState& st) {
   Timer t;
   st.res.mlgResult = legalizeMacros(db, st.cfg.mlg, st.ctx);
-  st.res.stageSeconds.add("mLG", t.seconds());
-  st.res.mlg = stageSnapshot(db, t.seconds(), st.res.mlgResult.outerIterations);
+  st.res.mlg =
+      flowStageMetrics(db, t.seconds(), st.res.mlgResult.outerIterations);
 }
 
 void flowFreezeMacros(PlacementDB& db) {
@@ -98,16 +91,14 @@ void flowStageCgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
   }
   st.res.cgpResult = cgp.run(trace, ctl);
   st.fillers = cgp.fillers();
-  st.res.stageSeconds.add("cGP", t.seconds());
-  st.res.cgp = stageSnapshot(db, t.seconds(), st.res.cgpResult.iterations);
+  st.res.cgp = flowStageMetrics(db, t.seconds(), st.res.cgpResult.iterations);
 }
 
 void flowStageCdp(PlacementDB& db, FlowState& st) {
   Timer t;
   st.res.legalizeResult = legalizeCells(db, st.ctx);
   st.res.detailResult = detailPlace(db, st.cfg.detail, st.ctx);
-  st.res.stageSeconds.add("cDP", t.seconds());
-  st.res.cdp = stageSnapshot(db, t.seconds(), st.res.detailResult.passes);
+  st.res.cdp = flowStageMetrics(db, t.seconds(), st.res.detailResult.passes);
 }
 
 void flowFinish(PlacementDB& db, FlowState& st) {
@@ -125,10 +116,7 @@ void flowFinish(PlacementDB& db, FlowState& st) {
       res.status = res.cgpResult.status;
     }
   }
-  RuntimeContext& rc = resolveContext(st.ctx);
-  rc.stats().set("flow.finalHpwl", res.finalHpwl);
-  rc.stats().set("flow.totalSeconds", res.totalSeconds);
-  rc.log().info(
+  resolveContext(st.ctx).log().info(
       "flow done: HPWL %.4g (scaled %.4g), legal=%d, status=%s, %.2fs",
       res.finalHpwl, res.finalScaledHpwl, res.legality.legal ? 1 : 0,
       statusCodeName(res.status.code()), res.totalSeconds);
@@ -153,9 +141,8 @@ FlowResult runEplaceFlow(PlacementDB& db, const FlowConfig& cfg,
   return st.res;
 }
 
-StatusOr<FlowResult> runEplaceFlowChecked(PlacementDB& db,
-                                          const FlowConfig& cfg,
-                                          RuntimeContext* ctx) {
+StatusOr<FlowResult> runFlowChecked(PlacementDB& db, RuntimeContext* ctx,
+                                    const std::function<FlowResult()>& place) {
   int repaired = 0;
   const Status s = db.sanitize(&repaired);
   if (!s.ok()) return s;
@@ -167,16 +154,23 @@ StatusOr<FlowResult> runEplaceFlowChecked(PlacementDB& db,
   if (!v.ok()) return v;
   // Exception boundary: a throwing hot-path task (e.g. a worker on the
   // thread pool, see ThreadPool) surfaces here as a typed status instead of
-  // std::terminate-ing the process; a memory-budget breach (mIP's charge,
-  // arena growth) as kResourceExhausted, like the supervised flow.
+  // std::terminate-ing the process; a memory-budget breach the stages did
+  // not absorb (mIP's charge, arena growth, legalizer scratch) as
+  // kResourceExhausted.
   try {
-    return runEplaceFlow(db, cfg, ctx);
+    return place();
   } catch (const MemoryBudgetExceeded& e) {
     return Status::resourceExhausted(e.what());
   } catch (const std::exception& e) {
     return Status::internal(std::string("flow aborted by exception: ") +
                             e.what());
   }
+}
+
+StatusOr<FlowResult> runEplaceFlowChecked(PlacementDB& db,
+                                          const FlowConfig& cfg,
+                                          RuntimeContext* ctx) {
+  return runFlowChecked(db, ctx, [&] { return runEplaceFlow(db, cfg, ctx); });
 }
 
 }  // namespace ep

@@ -42,6 +42,8 @@ struct FlowConfig {
   std::function<void(const std::string& stage, const GpIterTrace&)> gpTrace;
 };
 
+/// One stage's record row and Fig. 7 share. Under the supervisor, `seconds`
+/// is the supervisor's stage clock, covering every attempt.
 struct StageMetrics {
   double hpwl = 0.0;
   double overflow = 0.0;
@@ -72,8 +74,7 @@ struct FlowResult {
   MlgResult mlgResult;
   LegalizeResult legalizeResult;
   DetailResult detailResult;
-  TimeBreakdown stageSeconds;  ///< "mIP"/"mGP"/"mLG"/"cGP"/"cDP" (Fig. 7)
-  TimeBreakdown mgpInner;      ///< "density"/"wirelength"/"other" (Fig. 7)
+  TimeBreakdown mgpInner;  ///< "density"/"wirelength"/"other" (Fig. 7)
   double totalSeconds = 0.0;
   /// OK for a clean run. kNumericalDivergence / kTimeout when a placement
   /// stage degraded gracefully (the first failing stage wins); the result
@@ -134,5 +135,10 @@ void flowStageCgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl = {});
 void flowStageCdp(PlacementDB& db, FlowState& st);
 /// Final metrics / legality / status aggregation plus the summary log line.
 void flowFinish(PlacementDB& db, FlowState& st);
+
+/// The boundary of runEplaceFlowChecked and runSupervisedFlow: sanitize,
+/// validate, then `place`, with an escaping exception turned into a status.
+StatusOr<FlowResult> runFlowChecked(PlacementDB& db, RuntimeContext* ctx,
+                                    const std::function<FlowResult()>& place);
 
 }  // namespace ep

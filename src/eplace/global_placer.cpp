@@ -464,12 +464,8 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
     }
     const auto info = opt.step();
 
-    double curHpwl, tau;
-    {
-      ScopedTimer t(breakdown_, "other");
-      curHpwl = eng.exactHpwl(opt.solution());
-      tau = eng.overflow(opt.solution());
-    }
+    const double curHpwl = eng.exactHpwl(opt.solution());
+    const double tau = eng.overflow(opt.solution());
 
     const HealthEvent ev = monitor.observe(iter, curHpwl, tau, opt.solution(),
                                            info.gradNorm, wall.seconds());
@@ -519,20 +515,16 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
       continue;  // this iteration produced no usable metrics
     }
 
-    {
-      ScopedTimer t(breakdown_, "other");
-      eng.updateGamma(tau);
+    eng.updateGamma(tau);
 
-      // Penalty schedule: aggressive while HPWL holds, relaxed when it
-      // degrades (RePlAce-style mu).
-      const double dHpwl = curHpwl - prevHpwl;
-      double mu = dHpwl < 0.0
-                      ? kLambdaMultMax
-                      : std::pow(kLambdaMultMax, 1.0 - dHpwl / refDelta);
-      mu = std::clamp(mu, kLambdaMultMin, kLambdaMultMax);
-      eng.lambda *= mu;
-      prevHpwl = curHpwl;
-    }
+    // Penalty schedule: aggressive while HPWL holds, relaxed when it
+    // degrades (RePlAce-style mu).
+    const double dHpwl = curHpwl - prevHpwl;
+    double mu = dHpwl < 0.0 ? kLambdaMultMax
+                            : std::pow(kLambdaMultMax, 1.0 - dHpwl / refDelta);
+    mu = std::clamp(mu, kLambdaMultMin, kLambdaMultMax);
+    eng.lambda *= mu;
+    prevHpwl = curHpwl;
 
     // Refresh the checkpoint on the configured cadence whenever spreading
     // has not regressed: overflow is the progress metric of the stage.

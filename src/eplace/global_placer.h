@@ -138,7 +138,7 @@ class GlobalPlacer {
   GpResult run(TraceFn trace = {}, const GpRunControl& ctl = {});
 
   [[nodiscard]] double lambda() const { return lambda_; }
-  /// Stage-internal runtime split (Fig. 7: density vs wirelength vs other).
+  /// Density and wirelength gradient time (Fig. 7); the flow derives "other".
   [[nodiscard]] const TimeBreakdown& breakdown() const { return breakdown_; }
 
  private:

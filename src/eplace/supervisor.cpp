@@ -506,7 +506,7 @@ struct Supervisor {
       return;
     }
     snapFailures = 0;
-    bumpStage(next, "snapshots", 1.0);
+    bumpStage(next, "snapshots");
     SupervisorEvent ev;
     ev.kind = SupervisorEvent::Kind::kSnapshot;
     ev.stage = next;
@@ -584,15 +584,13 @@ struct Supervisor {
     const struct {
       FlowStage stage;
       const StageMetrics& m;
-      const char* label;
-    } done[] = {{FlowStage::kMip, rd.mip, "mIP"},
-                {FlowStage::kMgp, rd.mgp, "mGP"},
-                {FlowStage::kMlg, rd.mlg, "mLG"},
-                {FlowStage::kCgp, rd.cgp, "cGP"},
-                {FlowStage::kCdp, rd.cdp, "cDP"}};
+    } done[] = {{FlowStage::kMip, rd.mip},
+                {FlowStage::kMgp, rd.mgp},
+                {FlowStage::kMlg, rd.mlg},
+                {FlowStage::kCgp, rd.cgp},
+                {FlowStage::kCdp, rd.cdp}};
     for (const auto& d : done) {
       if (!d.m.ran) continue;
-      st.res.stageSeconds.add(d.label, d.m.seconds);
       StageReport rep;
       rep.stage = d.stage;
       rep.resumed = true;
@@ -628,13 +626,12 @@ struct Supervisor {
     flowStageMip(db, st);
     if (!movablesFiniteInCore(db)) {
       restorePositions(db, entry);
-      bumpStage(FlowStage::kMip, "rollbacks", 1.0);
+      bumpStage(FlowStage::kMip, "rollbacks");
       rep.status = Status::numericalDivergence(
           "mIP left non-finite or out-of-core positions");
       appendNote(rep, "result discarded; mGP starts from input positions");
     }
-    rep.seconds = t.seconds();
-    finishStage(rep);
+    finishStage(rep, t, st.res.mip);
   }
 
   [[nodiscard]] bool multilevelEngaged() const {
@@ -700,7 +697,7 @@ struct Supervisor {
     if (memBreach || !movablesFiniteInCore(ldb)) {
       restorePositions(ldb, entry);
       if (!memBreach) {
-        bumpStage(FlowStage::kMgp, "rollbacks", 1.0);
+        bumpStage(FlowStage::kMgp, "rollbacks");
         rc.log().warn("supervisor: mGP@L%d failed the finite/in-core gate; "
                       "level rolled back to its seed",
                       k);
@@ -711,7 +708,6 @@ struct Supervisor {
     lm.clusters = ldb.movable().size();
     lm.metrics = flowStageMetrics(ldb, t.seconds(), r.iterations);
     st.res.mgpLevels.push_back(lm);
-    st.res.stageSeconds.add("mGP", t.seconds());
     rc.log().info(
         "supervisor: mGP@L%d: %zu clusters, %d iter(s), overflow %.3f, "
         "HPWL %.4g, %.2fs",
@@ -761,7 +757,6 @@ struct Supervisor {
       }
       resumeLevel = -1;
     }
-    bumpStage(FlowStage::kMgp, "levels", static_cast<double>(start + 1));
     for (int k = start; k >= 0; --k) {
       if (rc.cancelled()) return;  // the flat stage reports the cancel
       if (!runOneCoarseLevel(k)) return;
@@ -889,14 +884,10 @@ struct Supervisor {
     }
     st.cfg.gp = baseGp;
     if (hasResumeGp && resumeGpStage == stage) hasResumeGp = false;
-    if (accepted) {
-      const GpResult& fin = isMgp ? st.res.mgpResult : st.res.cgpResult;
-      bumpStage(stage, "recoveries", static_cast<double>(fin.recoveries));
-    }
     if (!accepted) {
       restorePositions(db, entry);
       st.fillers = entryFillers;
-      bumpStage(stage, "rollbacks", 1.0);
+      bumpStage(stage, "rollbacks");
       if (memBreach) {
         // Every rung of the degradation ladder re-breached: fail this run
         // cleanly with a typed status (positions restored, nothing
@@ -911,8 +902,7 @@ struct Supervisor {
       }
       if (st.res.status.ok()) st.res.status = rep.status;
     }
-    rep.seconds = t.seconds();
-    finishStage(rep);
+    finishStage(rep, t, isMgp ? st.res.mgp : st.res.cgp);
   }
 
   void runMlg() {
@@ -951,8 +941,7 @@ struct Supervisor {
       appendNote(rep, "macro overlap remains");
       if (st.res.status.ok()) st.res.status = rep.status;
     }
-    rep.seconds = t.seconds();
-    finishStage(rep);
+    finishStage(rep, t, st.res.mlg);
   }
 
   /// Nudges movable standard cells before a legalization retry so the
@@ -1007,7 +996,7 @@ struct Supervisor {
     }
     if (!legalOk) {
       restorePositions(db, entry);
-      bumpStage(FlowStage::kCdp, "rollbacks", 1.0);
+      bumpStage(FlowStage::kCdp, "rollbacks");
       rep.status = rc.cancelled()
                        ? Status::cancelled("cDP cancelled (" +
                                            rc.cancelReason() + ")")
@@ -1028,33 +1017,35 @@ struct Supervisor {
       if (!detailOk) {
         // Skip-cDP fallback: the legalized placement is the deliverable.
         restorePositions(db, postLegal);
-        bumpStage(FlowStage::kCdp, "rollbacks", 1.0);
+        bumpStage(FlowStage::kCdp, "rollbacks");
         rep.fellBack = true;
         appendNote(rep, "detail placement rolled back (regressed or illegal)");
       }
     }
-    st.res.stageSeconds.add("cDP", t.seconds());
-    st.res.cdp = flowStageMetrics(db, t.seconds(), st.res.detailResult.passes);
+    // Seconds are the stage clock's, written by finishStage.
+    st.res.cdp = flowStageMetrics(db, 0.0, st.res.detailResult.passes);
+    finishStage(rep, t, st.res.cdp);
+  }
+
+  /// Per-stage counter "flow.<stage>.<what>", for the two figures only the
+  /// supervisor sees: "rollbacks" (coarse levels count toward mGP) and
+  /// "snapshots". buildRunRecord reads them back from the stats registry.
+  void bumpStage(FlowStage s, const char* what) {
+    rc.stats().add(std::string("flow.") + flowStageName(s) + "." + what, 1.0);
+  }
+
+  /// Closes a stage: its clock `t`, started before the first attempt, is
+  /// the one time of the stage — the report row, the finish event and the
+  /// record's `wall_ms` (through `m`) all carry it.
+  void finishStage(StageReport rep, const Timer& t, StageMetrics& m) {
     rep.seconds = t.seconds();
-    finishStage(rep);
-  }
-
-  /// Per-stage named counter: "flow.<stage>.<what>". RunRecord reads these
-  /// from the stats registry instead of re-plumbing every count through
-  /// return values.
-  void bumpStage(FlowStage s, const char* what, double v) {
-    rc.stats().add(std::string("flow.") + flowStageName(s) + "." + what, v);
-  }
-
-  void finishStage(StageReport rep) {
+    m.seconds = rep.seconds;
     if (!rep.status.ok()) {
       rc.log().warn("supervisor: stage %s degraded: %s",
                     flowStageName(rep.stage), rep.status.toString().c_str());
     }
     rc.stats().add("supervisor.attempts", static_cast<double>(rep.attempts));
     if (rep.fellBack) rc.stats().add("supervisor.fallbacks", 1.0);
-    bumpStage(rep.stage, "retries",
-              static_cast<double>(std::max(0, rep.attempts - 1)));
     SupervisorEvent ev;
     ev.kind = SupervisorEvent::Kind::kStageFinish;
     ev.stage = rep.stage;
@@ -1066,7 +1057,7 @@ struct Supervisor {
     report.stages.push_back(std::move(rep));
   }
 
-  StatusOr<FlowResult> run() {
+  FlowResult run() {
     if (!sup.snapshotDir.empty()) {
       io::makeDirs(sup.snapshotDir);
       const auto existing = listSnapshotFiles(sup.snapshotDir);
@@ -1198,28 +1189,28 @@ StatusOr<FlowResult> runSupervisedFlow(PlacementDB& db, const FlowConfig& cfg,
   SupervisorReport local;
   SupervisorReport& rep = report != nullptr ? *report : local;
   rep = SupervisorReport{};
-  int repaired = 0;
-  const Status s = db.sanitize(&repaired);
-  if (!s.ok()) return s;
-  if (repaired > 0) {
-    rc.log().warn("flow: sanitize repaired %d object position(s)", repaired);
-  }
-  const Status v = db.validate();
-  if (!v.ok()) return v;
-  Supervisor sv(rc, db, cfg, sup, rep);
-  // Exception boundary: a throwing hot-path task (e.g. a worker on the
-  // thread pool) surfaces as a typed status instead of std::terminate.
-  try {
+  return runFlowChecked(db, &rc, [&] {
+    Supervisor sv(rc, db, cfg, sup, rep);
     return sv.run();
-  } catch (const MemoryBudgetExceeded& e) {
-    // A breach outside the GP degradation ladder (view rebuild, legalizer
-    // scratch) is still a typed per-job outcome, never an abort.
-    return Status::resourceExhausted(e.what());
-  } catch (const std::exception& e) {
-    return Status::internal(std::string("flow aborted by exception: ") +
-                            e.what());
-  }
+  });
 }
+
+namespace {
+
+/// A stage's record row, from its one StageMetrics.
+StageRecord stageRecord(std::string stage, const StageMetrics& m) {
+  StageRecord sr;
+  sr.stage = std::move(stage);
+  sr.ran = m.ran;
+  sr.wallMs = m.seconds * 1000.0;
+  sr.iterations = m.iterations;
+  sr.hpwl = m.hpwl;
+  sr.hpwlBits = doubleBits(m.hpwl);
+  sr.overflow = m.overflow;
+  return sr;
+}
+
+}  // namespace
 
 RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
                          const SupervisorReport* report,
@@ -1236,15 +1227,8 @@ RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
   // stage rows. Flat runs emit none, so existing records and regression
   // baselines are byte-for-byte unaffected.
   for (const LevelMetrics& lm : res.mgpLevels) {
-    StageRecord sr;
-    sr.stage = "mGP@L" + std::to_string(lm.level);
-    sr.ran = lm.metrics.ran;
-    sr.wallMs = lm.metrics.seconds * 1000.0;
-    sr.iterations = lm.metrics.iterations;
-    sr.hpwl = lm.metrics.hpwl;
-    sr.hpwlBits = doubleBits(lm.metrics.hpwl);
-    sr.overflow = lm.metrics.overflow;
-    rec.stages.push_back(std::move(sr));
+    rec.stages.push_back(
+        stageRecord("mGP@L" + std::to_string(lm.level), lm.metrics));
   }
 
   const struct {
@@ -1259,14 +1243,7 @@ RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
       {FlowStage::kCdp, res.cdp, 0},
   };
   for (const auto& row : rows) {
-    StageRecord sr;
-    sr.stage = flowStageName(row.stage);
-    sr.ran = row.m.ran;
-    sr.wallMs = row.m.seconds * 1000.0;
-    sr.iterations = row.m.iterations;
-    sr.hpwl = row.m.hpwl;
-    sr.hpwlBits = doubleBits(row.m.hpwl);
-    sr.overflow = row.m.overflow;
+    StageRecord sr = stageRecord(flowStageName(row.stage), row.m);
     sr.recoveries = row.recoveries;
     if (report != nullptr) {
       for (const StageReport& rep : report->stages) {

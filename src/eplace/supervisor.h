@@ -143,6 +143,8 @@ struct StageReport {
   bool fellBack = false;  ///< fallback path produced the accepted result
   bool skipped = false;   ///< stage result discarded or stage not run
   bool resumed = false;   ///< satisfied from a snapshot, not executed
+  /// Wall time of the stage over all its attempts; the kStageFinish event
+  /// and the stage's StageMetrics::seconds carry this same value.
   double seconds = 0.0;
   Status status;  ///< final accepted outcome (OK even after retries)
   std::string note;
@@ -171,9 +173,9 @@ StatusOr<FlowResult> runSupervisedFlow(PlacementDB& db, const FlowConfig& cfg,
                                        RuntimeContext* ctx = nullptr);
 
 /// Assembles the structured run record (util/run_record.h) for a finished
-/// flow: per-stage metrics from `res`, retry counts from `report` (pass
-/// nullptr for an unsupervised run; the record's `supervised` flag is
-/// `report != nullptr`), recovery/rollback/snapshot counters and the stats
+/// flow: per-stage metrics and GP recoveries from `res`, retry counts from
+/// `report` (pass nullptr for an unsupervised run; the record's `supervised`
+/// flag is `report != nullptr`), rollback/snapshot counters and the stats
 /// dump from `ctx`'s registry, fingerprint/seed/threads from the input and
 /// context. Lives here — not in util — because it reads PlacementDB and
 /// FlowResult, which the util layer must not know about.

@@ -1,5 +1,5 @@
-// Wall-clock timing and a named accumulator used for the paper's runtime
-// breakdown experiments (Fig. 7 reports per-stage percentages).
+// Wall-clock timing and a named accumulator for the paper's runtime
+// breakdown (Fig. 7 splits mGP into density, wirelength and other).
 #pragma once
 
 #include <chrono>
@@ -22,7 +22,7 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates labeled durations; the flow reports stage shares from it.
+/// Accumulates labeled durations; mGP's Fig. 7 split is kept in one.
 class TimeBreakdown {
  public:
   void add(const std::string& label, double seconds) {
@@ -32,15 +32,6 @@ class TimeBreakdown {
     const auto it = seconds_.find(label);
     return it == seconds_.end() ? 0.0 : it->second;
   }
-  [[nodiscard]] double total() const {
-    double t = 0.0;
-    for (const auto& [_, s] : seconds_) t += s;
-    return t;
-  }
-  [[nodiscard]] const std::map<std::string, double>& entries() const {
-    return seconds_;
-  }
-  void clear() { seconds_.clear(); }
 
  private:
   std::map<std::string, double> seconds_;

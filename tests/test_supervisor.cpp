@@ -325,5 +325,41 @@ TEST_F(SupervisorTest, DetailFaultRollsBackToLegalizedPlacement) {
   EXPECT_TRUE(std::isfinite(hpwl(db)));
 }
 
+TEST_F(SupervisorTest, RecordWallTimeIsTheSupervisorStageClock) {
+  // Every gradient from pass 30 on is NaN: the first mGP attempt exhausts
+  // its recovery budget, so the supervisor runs a second one. The record's
+  // wall_ms must cover both attempts, exactly as the report row and the
+  // finish event do.
+  RuntimeContext ctx;
+  ctx.faults().arm("nesterov.grad",
+                   {FaultKind::kNaN, /*atTick=*/30, /*count=*/-1});
+  std::map<FlowStage, double> finishSeconds;
+  SupervisorConfig sup;
+  sup.onProgress = [&](const SupervisorEvent& ev) {
+    if (ev.kind == SupervisorEvent::Kind::kStageFinish) {
+      finishSeconds[ev.stage] = ev.seconds;
+    }
+  };
+  PlacementDB db = stdInstance();
+  SupervisorReport report;
+  const auto run =
+      runSupervisedFlow(db, traceConfig(nullptr), sup, &report, &ctx);
+  ASSERT_TRUE(run.ok()) << run.status().toString();
+
+  const StageReport* mgp = findStage(report, FlowStage::kMgp);
+  ASSERT_NE(mgp, nullptr);
+  EXPECT_EQ(mgp->attempts, 2);
+
+  const RunRecord rec = buildRunRecord(db, *run, &report, &ctx);
+  ASSERT_EQ(rec.stages.size(), 5u);     // flat: one row per FlowStage
+  ASSERT_EQ(report.stages.size(), 3u);  // mIP, mGP, cDP ran
+  for (const StageReport& r : report.stages) {
+    const StageRecord& row = rec.stages[static_cast<std::size_t>(r.stage)];
+    ASSERT_EQ(finishSeconds.count(r.stage), 1u) << row.stage;
+    EXPECT_EQ(row.wallMs, r.seconds * 1000.0) << row.stage;
+    EXPECT_EQ(row.wallMs, finishSeconds[r.stage] * 1000.0) << row.stage;
+  }
+}
+
 }  // namespace
 }  // namespace ep
