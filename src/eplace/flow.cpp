@@ -53,10 +53,14 @@ void flowStageMgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
   }
   st.res.mgpResult = mgp.run(trace, ctl);
   st.fillers = mgp.fillers();
-  st.res.mgpInner = mgp.breakdown();
+  // Accumulated, not assigned: a supervised retry calls this once per
+  // attempt, and the split must cover every attempt the stage clock does.
   const double stageTotal = t.seconds();
-  st.res.mgpInner.add("other", stageTotal - st.res.mgpInner.get("density") -
-                                   st.res.mgpInner.get("wirelength"));
+  const double density = mgp.breakdown().get("density");
+  const double wirelength = mgp.breakdown().get("wirelength");
+  st.res.mgpInner.add("density", density);
+  st.res.mgpInner.add("wirelength", wirelength);
+  st.res.mgpInner.add("other", stageTotal - density - wirelength);
   st.res.mgp = flowStageMetrics(db, stageTotal, st.res.mgpResult.iterations);
 }
 

@@ -74,7 +74,8 @@ struct FlowResult {
   MlgResult mlgResult;
   LegalizeResult legalizeResult;
   DetailResult detailResult;
-  TimeBreakdown mgpInner;  ///< "density"/"wirelength"/"other" (Fig. 7)
+  /// "density"/"wirelength"/"other" (Fig. 7), summed over mGP attempts.
+  TimeBreakdown mgpInner;
   double totalSeconds = 0.0;
   /// OK for a clean run. kNumericalDivergence / kTimeout when a placement
   /// stage degraded gracefully (the first failing stage wins); the result

@@ -571,6 +571,7 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
   result.backtracks = opt.backtrackCount();
   ctx_.stats().add("gp.iterations", static_cast<double>(iter));
   ctx_.stats().add("gp.gradEvals", static_cast<double>(result.gradEvals));
+  ctx_.stats().add("gp.backtracks", static_cast<double>(result.backtracks));
   ctx_.stats().add("gp.recoveries", static_cast<double>(recoveries));
   ctx_.log().info(
       "GP: %d iters, HPWL %.4g, overflow %.3f, converged=%d, "

@@ -958,12 +958,21 @@ struct Supervisor {
     }
   }
 
-  [[nodiscard]] bool legalGateOk(double preHpwl) const {
-    if (!movablesFiniteInCore(db)) return false;
-    if (!checkLegality(db).legal) return false;
+  /// cDP's post-legalization gate: names the first check the placement
+  /// fails, or returns "" when it passes.
+  [[nodiscard]] std::string legalGateFailure(double preHpwl) const {
+    if (!movablesFiniteInCore(db)) return "non-finite or out-of-core cell";
+    const LegalityReport legality = checkLegality(db);
+    if (!legality.legal) return "illegal: " + legality.firstIssue;
     const double h = hpwl(db);
-    if (!std::isfinite(h)) return false;
-    return preHpwl <= 0.0 || h <= preHpwl * kLegalizeHpwlCap;
+    if (!std::isfinite(h)) return "non-finite HPWL";
+    if (preHpwl > 0.0 && h > preHpwl * kLegalizeHpwlCap) {
+      char buf[96];
+      std::snprintf(buf, sizeof buf, "HPWL %.4g over %gx pre-legal %.4g", h,
+                    kLegalizeHpwlCap, preHpwl);
+      return buf;
+    }
+    return "";
   }
 
   void runCdp() {
@@ -973,6 +982,7 @@ struct Supervisor {
     const auto entry = capturePositions(db);
     const double preHpwl = hpwl(db);
     bool legalOk = false;
+    std::string gateFailure;
     for (int attempt = 0;
          attempt < std::max(1, sup.cdp.maxAttempts) && !legalOk; ++attempt) {
       if (attempt > 0) {
@@ -982,7 +992,8 @@ struct Supervisor {
       }
       ++rep.attempts;
       st.res.legalizeResult = legalizeCells(db, &rc);
-      legalOk = legalGateOk(preHpwl);
+      gateFailure = legalGateFailure(preHpwl);
+      legalOk = gateFailure.empty();
       if (!legalOk && !budgetLeft(sup.cdp, t)) break;
     }
     if (!legalOk) {
@@ -990,7 +1001,8 @@ struct Supervisor {
       ++rep.attempts;
       rep.fellBack = true;
       st.res.legalizeResult = greedyLegalizeCells(db, &rc);
-      legalOk = legalGateOk(preHpwl);
+      gateFailure = legalGateFailure(preHpwl);
+      legalOk = gateFailure.empty();
       appendNote(rep, legalOk ? "greedy fallback legalizer"
                               : "greedy fallback also failed");
     }
@@ -1002,7 +1014,8 @@ struct Supervisor {
                                            rc.cancelReason() + ")")
                        : Status::numericalDivergence(
                              "legalization failed the legality/HPWL gate on "
-                             "every path");
+                             "every path (last: " + gateFailure + ")");
+      appendNote(rep, "gate: " + gateFailure);
       appendNote(rep, "kept global placement result");
       if (st.res.status.ok()) st.res.status = rep.status;
     } else {

@@ -11,7 +11,9 @@ namespace ep {
 
 namespace {
 
-/// epsilon of Alg. 2; < 1 encourages early return (paper uses 0.95).
+/// epsilon of Alg. 2 (paper: 0.95): the step is accepted when the
+/// reference steplength alpha_ref >= eps * alpha, so a reference that comes
+/// back at most 5% short does not trigger a re-take.
 constexpr double kBacktrackEps = 0.95;
 /// Safety cap on the Alg. 2 loop (paper measures ~1.04 backtracks/iter; the
 /// cap bounds worst-case gradient evaluations per iteration).
@@ -170,11 +172,10 @@ NesterovOptimizer::StepInfo NesterovOptimizer::step() {
       info.backtracks = bt;
       break;
     }
-    // Backtrack only when the reference says the step was a genuine
-    // overestimate; a reference at or above the current step cannot shrink
-    // it (re-taking the same step would loop forever on e.g. an exact
-    // quadratic where prediction is already tight).
-    if (alphaRef >= alpha || alpha <= kBacktrackEps * alphaRef) {
+    // Alg. 2's exit: accept once the reference steplength is within a
+    // factor eps of the step taken. Re-taking a step the reference only
+    // trims by a few percent costs a full gradient and buys almost nothing.
+    if (alphaRef >= kBacktrackEps * alpha) {
       info.backtracks = bt;
       break;
     }

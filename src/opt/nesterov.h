@@ -9,8 +9,8 @@
 // The steplength is the inverse of the predicted Lipschitz constant
 // (Eq. 10): alpha_k = ||v_k - v_{k-1}|| / ||grad(v_k) - grad(v_{k-1})||,
 // refined by backtracking (Alg. 2): the candidate v_{k+1} produces a
-// *reference* steplength from the (v_{k+1}, v_k) gradient pair; while the
-// predicted step exceeds eps * reference, the step is re-taken with the
+// *reference* steplength from the (v_{k+1}, v_k) gradient pair; until the
+// reference reaches eps times the step taken, the step is re-taken with the
 // reference value. The gradient evaluated at the accepted v_{k+1} is cached
 // and reused as grad(v_k) of the next iteration, so a pass on the first
 // check costs nothing extra (Sec. V-C).

@@ -185,11 +185,12 @@ TEST(GlobalPlacer, DisablingPreconditionerHurts) {
 }
 
 TEST(GlobalPlacer, BacktracksAreRare) {
-  // Paper Sec. V-C: ~1.04 backtracks per iteration on average.
+  // Paper Sec. V-C: ~1.04 gradient evaluations per iteration, i.e. few
+  // backtracks once steps within eps = 0.95 of the reference stand.
   PlacementDB db = circuit(12, 400);
   const GpResult res = runGp(db);
   EXPECT_LT(static_cast<double>(res.backtracks),
-            2.0 * static_cast<double>(res.iterations));
+            0.75 * static_cast<double>(res.iterations));
 }
 
 TEST(GlobalPlacer, FillerOnlyMovesOnlyFillers) {

@@ -172,10 +172,49 @@ TEST(Nesterov, EvalCountAccounting) {
   opt.initialize(v0);
   EXPECT_EQ(opt.evalCount(), 2);  // v0 + bootstrap
   const auto info = opt.step();
-  // Quadratic: prediction exact; at most one (floating-point-jitter)
-  // backtrack, i.e. at most two evaluations for the step.
-  EXPECT_LE(info.backtracks, 1);
-  EXPECT_LE(opt.evalCount(), 4);
+  // Quadratic: prediction exact up to rounding, which the eps = 0.95 exit
+  // absorbs, so the step costs exactly one evaluation.
+  EXPECT_EQ(info.backtracks, 0);
+  EXPECT_EQ(opt.evalCount(), 3);
+}
+
+/// 1-D objective whose gradient has slope 1 for x >= 1 and slope `s` below.
+/// From x = 10 the first predicted step (alpha = 1) lands on x = 0, across
+/// the kink, so the reference steplength is 10 / (10 + s - 1): the secant
+/// curvature over the step rises by (s - 1) / 10.
+GradFn kinkedSlope(double s) {
+  return [s](std::span<const double> x, std::span<double> g) {
+    const double v = x[0];
+    if (v >= 1.0) {
+      g[0] = v;
+      return 0.5 * v * v;
+    }
+    g[0] = 1.0 + s * (v - 1.0);
+    return 0.5 + (v - 1.0) + 0.5 * s * (v - 1.0) * (v - 1.0);
+  };
+}
+
+TEST(Nesterov, ReferenceWithinEpsKeepsTheStep) {
+  // Curvature up 3% across the step: alpha_ref = 0.971 alpha >= 0.95 alpha.
+  NesterovOptimizer opt(1, kinkedSlope(1.3));
+  std::vector<double> v0{10.0};
+  opt.initialize(v0);
+  const auto info = opt.step();
+  EXPECT_EQ(info.backtracks, 0);
+  EXPECT_NEAR(info.alpha, 1.0, 1e-12);
+  EXPECT_EQ(opt.evalCount(), 3);
+}
+
+TEST(Nesterov, ReferenceBelowEpsRetakesTheStepOnce) {
+  // Curvature up 10%: alpha_ref = 0.909 alpha < 0.95 alpha, so the step is
+  // re-taken at alpha_ref; that step's reference (0.990) is accepted.
+  NesterovOptimizer opt(1, kinkedSlope(2.0));
+  std::vector<double> v0{10.0};
+  opt.initialize(v0);
+  const auto info = opt.step();
+  EXPECT_EQ(info.backtracks, 1);
+  EXPECT_NEAR(info.alpha, 10.0 / 11.0, 1e-12);
+  EXPECT_EQ(opt.evalCount(), 4);
 }
 
 TEST(Cg, ConvergesOnQuadratic) {

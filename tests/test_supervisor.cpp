@@ -325,6 +325,28 @@ TEST_F(SupervisorTest, DetailFaultRollsBackToLegalizedPlacement) {
   EXPECT_TRUE(std::isfinite(hpwl(db)));
 }
 
+TEST_F(SupervisorTest, CdpRollbackNamesTheFailedGateCheck) {
+  // Persistent NaN gradients leave mGP on its iteration-0 checkpoint, a
+  // clump that no legalizer spreads within the HPWL cap: cDP rolls back,
+  // and its report row, status and log line say which check failed.
+  RuntimeContext ctx;
+  ctx.faults().arm("nesterov.grad",
+                   {FaultKind::kNaN, /*atTick=*/30, /*count=*/-1});
+  PlacementDB db = stdInstance();
+  SupervisorReport report;
+  const auto run =
+      runSupervisedFlow(db, traceConfig(nullptr), {}, &report, &ctx);
+  ASSERT_TRUE(run.ok()) << run.status().toString();
+
+  const StageReport* cdp = findStage(report, FlowStage::kCdp);
+  ASSERT_NE(cdp, nullptr);
+  EXPECT_FALSE(cdp->status.ok());
+  EXPECT_NE(cdp->note.find("gate: HPWL"), std::string::npos) << cdp->note;
+  EXPECT_NE(cdp->status.message().find("over 2x pre-legal"),
+            std::string::npos)
+      << cdp->status.toString();
+}
+
 TEST_F(SupervisorTest, RecordWallTimeIsTheSupervisorStageClock) {
   // Every gradient from pass 30 on is NaN: the first mGP attempt exhausts
   // its recovery budget, so the supervisor runs a second one. The record's
@@ -359,6 +381,10 @@ TEST_F(SupervisorTest, RecordWallTimeIsTheSupervisorStageClock) {
     EXPECT_EQ(row.wallMs, r.seconds * 1000.0) << row.stage;
     EXPECT_EQ(row.wallMs, finishSeconds[r.stage] * 1000.0) << row.stage;
   }
+  // mGP's Fig. 7 split covers both attempts too, not just the last one.
+  const TimeBreakdown& inner = run->mgpInner;
+  EXPECT_GE(inner.get("density") + inner.get("wirelength") + inner.get("other"),
+            0.5 * run->mgp.seconds);
 }
 
 }  // namespace
